@@ -53,6 +53,7 @@ from .motions import (
 )
 from .plmap import OutsideDomain, PLMap, ValidationReport, assemble
 from .extension import (
+    ConstructionError,
     DegenerateHullError,
     ExtensionTrace,
     Instance,

@@ -12,20 +12,8 @@ is exactly zero.  There is no epsilon and no float anywhere.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
 from math import isqrt
-
-from ._kernel import (
-    OP_ADD,
-    OP_DIV,
-    OP_LEAF,
-    OP_MUL,
-    OP_SQRT,
-    OP_SUB,
-    eval_interval,
-    kernel_name,
-)
 
 __all__ = [
     "ExactNumber",
@@ -53,24 +41,21 @@ LT = -1
 EQ = 0
 GT = 1
 
-_backend_choice = os.environ.get("ISOFOLD_RATIONAL", "").strip().lower()
-if _backend_choice not in ("", "gmpy2", "fraction"):
-    raise RuntimeError(
-        f"ISOFOLD_RATIONAL must be 'gmpy2' or 'fraction', got {_backend_choice!r}"
-    )
-if _backend_choice == "fraction":
+try:
+    from gmpy2 import mpq as _rat
+
+    _RAT_BACKEND = "gmpy2"
+except ImportError:
     _rat = Fraction
     _RAT_BACKEND = "fraction"
-else:
-    try:
-        from gmpy2 import mpq as _rat
 
-        _RAT_BACKEND = "gmpy2"
-    except ImportError:
-        if _backend_choice == "gmpy2":
-            raise
-        _rat = Fraction
-        _RAT_BACKEND = "fraction"
+# Opcodes of the flattened expression programs evaluated by eval_interval.
+OP_LEAF = 0
+OP_ADD = 1
+OP_SUB = 2
+OP_MUL = 3
+OP_DIV = 4
+OP_SQRT = 5
 
 
 def rational_backend() -> str:
@@ -79,8 +64,8 @@ def rational_backend() -> str:
 
 
 def kernel_backend() -> str:
-    """Name of the interval kernel in use ('compiled' or 'python')."""
-    return kernel_name
+    """Name of the interval kernel; there is one, written in Python."""
+    return "python"
 
 
 class DivisionByZero(ArithmeticError):
@@ -346,6 +331,188 @@ def sqrt(x) -> ExactNumber:
         if rp * rp == p and rq * rq == q:
             return _leaf(_rat(rp) / _rat(rq))
     return _node(OP_SQRT, (x,), 1)
+
+
+# --- dyadic interval kernel ------------------------------------------------
+#
+# A bound is an integer pair (m, e) standing for m * 2**e.  Every rounding
+# is directed outward, so the interval computed for a program always
+# encloses the exact value of the expression it encodes.  A program is a
+# flattened postorder walk of an expression DAG held in parallel lists:
+# opcode, first argument, second argument.  For leaves the first argument
+# indexes the rational tables leaf_num / leaf_den; for interior nodes both
+# arguments are register indices (instruction positions evaluated earlier).
+
+
+def round_down(m, e, prec):
+    """Round m*2**e toward -inf, keeping at most prec mantissa bits."""
+    k = m.bit_length() - prec
+    if k <= 0:
+        return m, e
+    return m >> k, e + k
+
+
+def round_up(m, e, prec):
+    """Round m*2**e toward +inf, keeping at most prec mantissa bits."""
+    k = m.bit_length() - prec
+    if k <= 0:
+        return m, e
+    return -((-m) >> k), e + k
+
+
+def _dyadic_add(m1, e1, m2, e2, prec, up):
+    if m1 == 0:
+        m, e = m2, e2
+    elif m2 == 0:
+        m, e = m1, e1
+    else:
+        if e1 < e2:
+            m1, e1, m2, e2 = m2, e2, m1, e1
+        gap = e1 - e2
+        if gap > prec + m2.bit_length() + 8:
+            # The small term is far below one ulp of the rounded large
+            # term; absorb it into a one-ulp outward nudge.
+            if up:
+                m, e = round_up(m1, e1, prec)
+                return m + 1, e
+            m, e = round_down(m1, e1, prec)
+            return m - 1, e
+        m = (m1 << gap) + m2
+        e = e2
+    if up:
+        return round_up(m, e, prec)
+    return round_down(m, e, prec)
+
+
+def _dyadic_div(m1, e1, m2, e2, prec, up):
+    # m2 != 0.  Directed rounding of (m1*2**e1) / (m2*2**e2).
+    neg = (m1 < 0) != (m2 < 0)
+    a = -m1 if m1 < 0 else m1
+    b = -m2 if m2 < 0 else m2
+    shift = prec + 4 + max(0, b.bit_length() - a.bit_length())
+    scaled = a << shift
+    q = scaled // b
+    # Round the magnitude away from zero exactly when the directed
+    # rounding asks for it (up for positive values, down for negative).
+    if up != neg and q * b != scaled:
+        q += 1
+    if neg:
+        q = -q
+    if up:
+        return round_up(q, e1 - e2 - shift, prec)
+    return round_down(q, e1 - e2 - shift, prec)
+
+
+def _dyadic_sqrt(m, e, prec, up):
+    # m >= 0.
+    if m == 0:
+        return 0, 0
+    j = 2 * (prec + 2) - m.bit_length()
+    if j < 0:
+        j = 0
+    if (e - j) & 1:
+        j += 1
+    scaled = m << j
+    r = isqrt(scaled)
+    if up and r * r != scaled:
+        r += 1
+    if up:
+        return round_up(r, (e - j) >> 1, prec)
+    return round_down(r, (e - j) >> 1, prec)
+
+
+def _dyadic_lt(m1, e1, m2, e2):
+    # Exact comparison m1*2**e1 < m2*2**e2.
+    if e1 >= e2:
+        return (m1 << (e1 - e2)) < m2
+    return m1 < (m2 << (e2 - e1))
+
+
+def eval_interval(ops, arg1, arg2, leaf_num, leaf_den, prec):
+    """Evaluate a program, returning (lo_m, lo_e, hi_m, hi_e) or None.
+
+    None means a divisor interval still straddled zero at this
+    precision; the caller should retry with a higher one.
+    """
+    n = len(ops)
+    lom = [0] * n
+    loe = [0] * n
+    him = [0] * n
+    hie = [0] * n
+    for i in range(n):
+        op = ops[i]
+        if op == OP_LEAF:
+            num = leaf_num[arg1[i]]
+            den = leaf_den[arg1[i]]
+            if den == 1:
+                a, b = round_down(num, 0, prec)
+                c, d = round_up(num, 0, prec)
+            else:
+                a, b = _dyadic_div(num, 0, den, 0, prec, False)
+                c, d = _dyadic_div(num, 0, den, 0, prec, True)
+        elif op == OP_ADD:
+            x = arg1[i]
+            y = arg2[i]
+            a, b = _dyadic_add(lom[x], loe[x], lom[y], loe[y], prec, False)
+            c, d = _dyadic_add(him[x], hie[x], him[y], hie[y], prec, True)
+        elif op == OP_SUB:
+            x = arg1[i]
+            y = arg2[i]
+            a, b = _dyadic_add(lom[x], loe[x], -him[y], hie[y], prec, False)
+            c, d = _dyadic_add(him[x], hie[x], -lom[y], loe[y], prec, True)
+        elif op == OP_MUL:
+            x = arg1[i]
+            y = arg2[i]
+            # Products of dyadics are exact; pick extremes, then round.
+            mn_m, mn_e = lom[x] * lom[y], loe[x] + loe[y]
+            mx_m, mx_e = mn_m, mn_e
+            for pm, pe in (
+                (lom[x] * him[y], loe[x] + hie[y]),
+                (him[x] * lom[y], hie[x] + loe[y]),
+                (him[x] * him[y], hie[x] + hie[y]),
+            ):
+                if _dyadic_lt(pm, pe, mn_m, mn_e):
+                    mn_m, mn_e = pm, pe
+                if _dyadic_lt(mx_m, mx_e, pm, pe):
+                    mx_m, mx_e = pm, pe
+            a, b = round_down(mn_m, mn_e, prec)
+            c, d = round_up(mx_m, mx_e, prec)
+        elif op == OP_DIV:
+            x = arg1[i]
+            y = arg2[i]
+            lxm, lxe, hxm, hxe = lom[x], loe[x], him[x], hie[x]
+            lym, lye, hym, hye = lom[y], loe[y], him[y], hie[y]
+            if hym < 0:
+                # Negative divisor: x/y = (-x)/(-y).
+                lxm, lxe, hxm, hxe = -hxm, hxe, -lxm, lxe
+                lym, lye, hym, hye = -hym, hye, -lym, lye
+            if lym <= 0:
+                return None
+            if lxm >= 0:
+                a, b = _dyadic_div(lxm, lxe, hym, hye, prec, False)
+            else:
+                a, b = _dyadic_div(lxm, lxe, lym, lye, prec, False)
+            if hxm >= 0:
+                c, d = _dyadic_div(hxm, hxe, lym, lye, prec, True)
+            else:
+                c, d = _dyadic_div(hxm, hxe, hym, hye, prec, True)
+        else:  # OP_SQRT
+            x = arg1[i]
+            lm, le = lom[x], loe[x]
+            if lm < 0:
+                # The argument is certified nonnegative; the spill below
+                # zero is interval slack.
+                lm, le = 0, 0
+            if him[x] < 0:
+                return None
+            a, b = _dyadic_sqrt(lm, le, prec, False)
+            c, d = _dyadic_sqrt(him[x], hie[x], prec, True)
+        lom[i] = a
+        loe[i] = b
+        him[i] = c
+        hie[i] = d
+    i = n - 1
+    return lom[i], loe[i], him[i], hie[i]
 
 
 # --- sign decision ---------------------------------------------------------

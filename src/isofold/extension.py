@@ -45,6 +45,7 @@ __all__ = [
     "NonExpansivenessViolation",
     "DegenerateHullError",
     "TargetAlreadyMatched",
+    "ConstructionError",
     "DegenerateFanTriangle",
     "ChordTooLong",
     "RefitRegion",
@@ -98,7 +99,16 @@ class TargetAlreadyMatched(ValueError):
     """The current map already sends the new source to its target."""
 
 
-class DegenerateFanTriangle(RuntimeError):
+class ConstructionError(RuntimeError):
+    """An invariant of the construction broke; the map would be wrong."""
+
+
+def _require(ok: bool, what: str) -> None:
+    if not ok:
+        raise ConstructionError(what)
+
+
+class DegenerateFanTriangle(ConstructionError):
     """Fan apex collinear with a boundary chord; internal invariant broken."""
 
 
@@ -230,7 +240,7 @@ def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
         pieces.append((t, piece))
         vs = piece.vertices
         on_cut = [v for v in vs if line.side(v) == 0]
-        assert len(on_cut) <= 2, "cut line meets a convex piece in >2 vertices"
+        _require(len(on_cut) <= 2, "cut line meets a convex piece in >2 vertices")
         if len(on_cut) == 2:
             p, q = on_cut
             if orientation(a_n, p, q) == -1:
@@ -341,11 +351,11 @@ def fold_boundary_region(
     side_plus = orientation(b_n, g_pivot, plus.apply(swing))
     rigid = plus if side_plus * side_true >= 0 else minus
     fold_image = perpendicular_bisector(rigid.apply(swing), g_swing)
-    assert fold_image.side(b_n) == 0, "fold line must pass through the target"
+    _require(fold_image.side(b_n) == 0, "fold line must pass through the target")
     fold_line = line_preimage(rigid, fold_image)
-    assert fold_line.side(a_n) == 0, "fold line must pass through the source"
+    _require(fold_line.side(a_n) == 0, "fold line must pass through the source")
     reflected = compose(rigid, reflection_across_line(fold_line))
-    assert reflected.apply(swing) == g_swing, "fold fails to land the swing"
+    _require(reflected.apply(swing) == g_swing, "fold fails to land the swing")
     return FoldRegion(cone, pivot, swing, rigid, fold_line, reflected)
 
 
@@ -365,16 +375,16 @@ def cone_pieces(region: FoldRegion):
             if orientation(apex, u, v) == 1:
                 out.append((Triangle(apex, u, v), region.rigid_part))
             else:
-                assert orientation(apex, u, v) == 0, "cone walk runs clockwise"
+                _require(orientation(apex, u, v) == 0, "cone walk runs clockwise")
         return out, splits
 
     line = region.fold_line
     rigid_side = line.side(region.pivot)
     swing_side = line.side(region.swing)
-    assert swing_side != 0, "swing cannot sit on the fold line"
+    _require(swing_side != 0, "swing cannot sit on the fold line")
     if rigid_side == 0:
         rigid_side = -swing_side
-    assert swing_side * rigid_side < 0, "pivot and swing on one side of the fold"
+    _require(swing_side * rigid_side < 0, "pivot and swing on one side of the fold")
 
     def motion_for(s: int) -> Motion:
         return region.rigid_part if s * rigid_side >= 0 else region.reflected_part
@@ -383,7 +393,7 @@ def cone_pieces(region: FoldRegion):
         o = orientation(apex, u, v)
         if o == 0:
             continue
-        assert o == 1, "cone walk runs clockwise"
+        _require(o == 1, "cone walk runs clockwise")
         su, sv = line.side(u), line.side(v)
         if su * sv < 0:
             vu = line.value(u)
@@ -404,7 +414,6 @@ class StepTrace:
 
     early_exit: bool = False
     empty_cells: int = 0
-    retained_whole: int = 0
     complement_pieces: int = 0
     chords: int = 0
     chains: int = 0
@@ -442,12 +451,12 @@ def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
     keyed = []
     for seg in contacts:
         k = _hull_edge_of(hull, seg.p, seg.q)
-        assert k is not None, "contact segment left the hull boundary"
+        _require(k is not None, "contact segment left the hull boundary")
         h1, h2 = vs[k], vs[(k + 1) % n]
         dx, dy = h2.x - h1.x, h2.y - h1.y
         tp = (seg.p.x - h1.x) * dx + (seg.p.y - h1.y) * dy
         tq = (seg.q.x - h1.x) * dx + (seg.q.y - h1.y) * dy
-        assert compare(tp, tq) == -1, "contact edge runs against hull orientation"
+        _require(compare(tp, tq) == -1, "contact edge runs against hull orientation")
         keyed.append((k, tp, seg))
 
     def key_cmp(a, b):
@@ -477,8 +486,8 @@ def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
         current.append(chain[-1])
         out.append(current)
     for chain in out:
-        assert _h_sign(g, a_n, b_n, chain[0]) == 0, "chain start misses the boundary"
-        assert _h_sign(g, a_n, b_n, chain[-1]) == 0, "chain end misses the boundary"
+        _require(_h_sign(g, a_n, b_n, chain[0]) == 0, "chain start misses the boundary")
+        _require(_h_sign(g, a_n, b_n, chain[-1]) == 0, "chain end misses the boundary")
     return out
 
 
@@ -496,7 +505,6 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
         motion = g.restrict_motion(t)
         if t not in covered:
             trace.empty_cells += 1
-            trace.retained_whole += 1
             pieces.append((g.cell(t), motion))
             continue
         line, keep = _cell_cut(g, t, a_n, b_n)
@@ -534,8 +542,9 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
     for t in range(len(out)):
         a2 = out.cell(t).area2()
         total = a2 if total is None else total + a2
-    assert total is not None and equals(total, g.domain.area2()), (
-        "step output does not tile the domain"
+    _require(
+        total is not None and equals(total, g.domain.area2()),
+        "step output does not tile the domain",
     )
     return out, trace
 
@@ -563,8 +572,9 @@ def extend_all_traced(inst: Instance):
         g, st = extend_step_traced(g, norm.sources[k], norm.targets[k])
         steps.append(st)
         for i in range(k + 1):
-            assert g.evaluate(norm.sources[i]) == norm.targets[i], (
-                "induction step disturbed an interpolated point"
+            _require(
+                g.evaluate(norm.sources[i]) == norm.targets[i],
+                "induction step disturbed an interpolated point",
             )
     return g, ExtensionTrace(tuple(steps))
 

@@ -12,11 +12,13 @@ from .exactreal import equals
 from .geometry import (
     ConvexPolygon,
     Line,
+    Location,
     Point,
     Segment,
     Triangle,
     clip_polygon_halfplane,
     orientation,
+    point_in_polygon,
     segment_intersection,
 )
 from .motions import Motion
@@ -192,14 +194,24 @@ class PLMap:
         return ("triangle-orientation", True, f"{len(self.triangles)} cells")
 
     def _check_area(self):
+        """Cells inside the domain whose areas sum to the domain's area.
+
+        Together with disjoint interiors (the next check) this proves the
+        cells tile the domain exactly: a cell outside it could otherwise
+        make up the area of a hole.
+        """
         total = None
         for t in range(len(self.triangles)):
             a2 = self.cell(t).area2()
             total = a2 if total is None else total + a2
         if total is None:
             return ("area-sum", False, "no triangles")
+        used = sorted({i for row in self.triangles for i in row[:3]})
+        for i in used:
+            if point_in_polygon(self.vertices[i], self.domain) is Location.OUTSIDE:
+                return ("area-sum", False, f"vertex {i} lies outside the domain")
         if equals(total, self.domain.area2()):
-            return ("area-sum", True, "cells tile the domain area exactly")
+            return ("area-sum", True, "cells lie in the domain and tile its area exactly")
         return ("area-sum", False, "triangle areas do not sum to the domain area")
 
     def _triangle_poly(self, t: int) -> ConvexPolygon:

@@ -168,7 +168,16 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
         p = _sample_point(rng, bounds, f.domain)
         q = _sample_point(rng, bounds, f.domain)
         gap2 = squared_distance(p, q)
-        image_gap2 = squared_distance(f.evaluate(p), f.evaluate(q))
+        try:
+            image_gap2 = squared_distance(f.evaluate(p), f.evaluate(q))
+        except OutsideDomain:
+            violations.append({
+                "sample": k,
+                "p": _fmt_point(p),
+                "q": _fmt_point(q),
+                "error": "outside domain",
+            })
+            continue
         if tolerance is None:
             bad = compare(image_gap2, gap2) == GT
         else:

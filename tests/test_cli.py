@@ -9,6 +9,10 @@ import sys
 import pytest
 
 from isofold.cli import main
+from isofold.fileio import instance_hash, parse_instance, serialize_map
+from isofold.geometry import ConvexPolygon, Point, Triangle
+from isofold.motions import Motion
+from isofold.plmap import assemble
 
 GOLDEN = {
     "points": [
@@ -182,6 +186,35 @@ class TestVerify:
             "verify", "--map", path, "--instance", str(golden_path),
         ]) == 1
         assert stderr_json(capsys)["error"] == "parse"
+
+    def test_tiling_hole_exit_4_without_traceback(self, tmp_path, capsys):
+        # Cell areas sum to the domain's, but one cell lies outside it and
+        # half the domain is uncovered.
+        dom = ConvexPolygon([Point(0, 0), Point(4, 0), Point(0, 4)])
+        ident = Motion.identity()
+        hole = assemble(dom, [
+            (Triangle(Point(0, 0), Point(2, 0), Point(0, 2)), ident),
+            (Triangle(Point(5, 0), Point(9, 0), Point(5, 3)), ident),
+        ])
+        instance = write_instance(
+            tmp_path, "corners.json",
+            [(0, 0, 0, 0), (4, 0, 4, 0), (0, 4, 0, 4)],
+        )
+        inst_hash = instance_hash(parse_instance(instance.read_text()))
+        map_path = tmp_path / "hole.json"
+        map_path.write_text(serialize_map(hole, inst_hash))
+        assert main([
+            "verify", "--map", str(map_path), "--instance", str(instance),
+            "--samples", "30",
+        ]) == 4
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"] == "audit_failure"
+        assert {"structure.area-sum", "lipschitz_exact"} <= set(err["failed"])
+        report = json.loads(captured.out)
+        lipschitz = next(c for c in report["checks"] if c["name"] == "lipschitz_exact")
+        assert lipschitz["witness"][0]["error"] == "outside domain"
 
 
 def test_module_entry_point(tmp_path):

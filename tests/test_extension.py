@@ -2,9 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+
+import isofold
 
 from isofold import ExactNumber, equals, sign, sqrt
 from isofold.geometry import (
@@ -20,6 +24,8 @@ from isofold.motions import Motion, reflection_across_line
 from isofold.plmap import PLMap, assemble
 from isofold.extension import (
     ChordTooLong,
+    ConstructionError,
+    FoldRegion,
     DegenerateHullError,
     Instance,
     NonExpansivenessViolation,
@@ -444,3 +450,25 @@ class TestInstanceSuiteTraces:
         f, trace = extend_all_traced(i)
         for a, b in i.pairs():
             assert f.evaluate(a) == b
+
+
+class TestInvariants:
+    def test_broken_invariant_raises(self):
+        # A clockwise cone walk breaks an invariant of cone_pieces.
+        apex = P(0, 0)
+        region = FoldRegion(
+            [apex, P(0, 2), P(2, 0)], P(0, 2), P(2, 0), Motion.identity(), None, None
+        )
+        with pytest.raises(ConstructionError, match="clockwise"):
+            cone_pieces(region)
+
+    def test_package_has_no_assert_statements(self):
+        # python -O strips assert statements, so invariants must raise.
+        package = Path(isofold.__file__).parent
+        found = [
+            f"{path.name}:{node.lineno}"
+            for path in sorted(package.glob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)
+        ]
+        assert found == []

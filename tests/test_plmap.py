@@ -179,6 +179,19 @@ class TestValidate:
         assert "edge-agreement" in [n for n, ok, _ in rep.checks if not ok]
         del mirror
 
+    def test_cell_outside_domain_fails_area_sum(self):
+        # Areas sum to the domain's (2 + 6 = 8) and no cells overlap, yet
+        # half the domain is uncovered and one cell lies outside it.
+        dom = ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)])
+        ident = Motion.identity()
+        m = assemble(dom, [
+            (Triangle(P(0, 0), P(2, 0), P(0, 2)), ident),
+            (Triangle(P(5, 0), P(9, 0), P(5, 3)), ident),
+        ])
+        rep = m.validate()
+        assert [n for n, ok, _ in rep.checks if not ok] == ["area-sum"]
+        assert "outside the domain" in dict(rep.failures())["area-sum"]
+
     def test_report_dict(self):
         rep = square_map().validate()
         d = rep.as_dict()
