@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 I/O or parse failure, 2 infeasible instance,
-3 degenerate hull, 4 audit failure.  Errors go to stderr as one JSON
-object so scripts never have to scrape prose.
+Exit codes: 0 success, 1 I/O, parse or usage failure, 2 infeasible
+instance, 3 degenerate hull, 4 audit failure.  Errors go to stderr as
+one JSON object so scripts never have to scrape prose.
 """
 
 from __future__ import annotations
@@ -49,6 +49,19 @@ def _fail(code: int, kind: str, **detail) -> int:
     payload.update(detail)
     print(json.dumps(payload, sort_keys=True), file=sys.stderr)
     return code
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse exits 2 on bad arguments, which is the infeasible-instance
+    # code here; raise instead so main reports a usage failure.
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
+def _positive_int(text: str) -> int:
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _mode(name: str):
@@ -141,7 +154,7 @@ def cmd_verify(args) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="isofold",
         description="Extend a finite rational non-expansive map to a "
         "piecewise-linear one on the convex hull, exactly.",
@@ -156,7 +169,7 @@ def _parser() -> argparse.ArgumentParser:
         "--verify", choices=["exact", "approx", "none"], default="exact",
         help="audit mode for the produced map",
     )
-    ext.add_argument("--samples", type=int, default=1000)
+    ext.add_argument("--samples", type=_positive_int, default=1000)
     ext.add_argument("--seed", type=int, default=0)
     ext.set_defaults(run=cmd_extend)
 
@@ -164,7 +177,7 @@ def _parser() -> argparse.ArgumentParser:
     ver.add_argument("--map", required=True, help="map JSON path")
     ver.add_argument("--instance", required=True, help="instance JSON path")
     ver.add_argument("--mode", choices=["exact", "approx"], default="exact")
-    ver.add_argument("--samples", type=int, default=1000)
+    ver.add_argument("--samples", type=_positive_int, default=1000)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(run=cmd_verify)
 
@@ -172,7 +185,10 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except argparse.ArgumentError as exc:
+        return _fail(EXIT_IO, "usage", detail=str(exc))
     return args.run(args)
 
 

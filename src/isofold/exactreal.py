@@ -1,13 +1,14 @@
 """Exact real algebraic arithmetic with decidable sign and order.
 
-Values are immutable expression DAGs: arbitrary-precision rational
-leaves combined by +, -, *, / and square roots.  Rational
-subexpressions collapse eagerly, so trees only persist where a square
-root is genuinely irrational.  The sign of an irrational expression is
-decided by refining a dyadic interval enclosure until it either
-excludes zero or becomes narrower than a separation bound below which a
-nonzero value of that shape cannot hide; in the latter case the value
-is exactly zero.  There is no epsilon and no float anywhere.
+A rational value is a plain ``fractions.Fraction``; ``number`` turns
+any accepted input into that normal form.  Irrational values are
+immutable expression DAGs (ExactNumber): rational leaves combined by
++, -, *, / and square roots.  Rational subexpressions collapse eagerly,
+so trees only persist where a square root is genuinely irrational.
+The sign of an irrational expression is decided by refining a dyadic
+interval enclosure until it either excludes zero or becomes narrower
+than a separation bound below which a nonzero value of that shape
+cannot hide; in the latter case the value is exactly zero.  There is no epsilon and no float anywhere.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ __all__ = [
     "LT",
     "EQ",
     "GT",
+    "number",
     "rational",
     "add",
     "sub",
@@ -41,14 +43,6 @@ LT = -1
 EQ = 0
 GT = 1
 
-try:
-    from gmpy2 import mpq as _rat
-
-    _RAT_BACKEND = "gmpy2"
-except ImportError:
-    _rat = Fraction
-    _RAT_BACKEND = "fraction"
-
 # Opcodes of the flattened expression programs evaluated by eval_interval.
 OP_LEAF = 0
 OP_ADD = 1
@@ -59,8 +53,8 @@ OP_SQRT = 5
 
 
 def rational_backend() -> str:
-    """Name of the rational arithmetic backend ('gmpy2' or 'fraction')."""
-    return _RAT_BACKEND
+    """Name of the rational arithmetic backend; there is one, Fraction."""
+    return "fraction"
 
 
 def kernel_backend() -> str:
@@ -104,7 +98,8 @@ class ExactNumber:
     def __add__(self, other):
         return add(self, other)
 
-    __radd__ = __add__
+    def __radd__(self, other):
+        return add(other, self)
 
     def __sub__(self, other):
         return sub(self, other)
@@ -115,7 +110,8 @@ class ExactNumber:
     def __mul__(self, other):
         return mul(self, other)
 
-    __rmul__ = __mul__
+    def __rmul__(self, other):
+        return mul(other, self)
 
     def __truediv__(self, other):
         return div(self, other)
@@ -145,16 +141,16 @@ class ExactNumber:
         return not eq
 
     def __lt__(self, other):
-        return compare(self, _coerce(other)) == LT
+        return compare(self, other) == LT
 
     def __le__(self, other):
-        return compare(self, _coerce(other)) != GT
+        return compare(self, other) != GT
 
     def __gt__(self, other):
-        return compare(self, _coerce(other)) == GT
+        return compare(self, other) == GT
 
     def __ge__(self, other):
-        return compare(self, _coerce(other)) != LT
+        return compare(self, other) != LT
 
     def __hash__(self):
         if self._rat is None:
@@ -174,7 +170,7 @@ class ExactNumber:
         """Exact Fraction value; raises ValueError on irrational values."""
         if self._rat is None:
             raise ValueError("value is irrational")
-        return Fraction(int(self._rat.numerator), int(self._rat.denominator))
+        return self._rat
 
     def __float__(self):
         return float(approximate(self, Fraction(1, 1 << 60)))
@@ -208,24 +204,33 @@ def _node(op, args, sgn) -> ExactNumber:
     return x
 
 
-_ZERO = _leaf(_rat(0))
-_ONE = _leaf(_rat(1))
+_ZERO = _leaf(Fraction(0))
+
+
+def number(value):
+    """The normal form of an exact value.
+
+    Ints, 'p/q' strings, Fractions and rational ExactNumbers become a
+    Fraction; an irrational ExactNumber is returned as it is.  Floats
+    (inexact) and bools are rejected with TypeError.
+    """
+    if type(value) is Fraction:
+        return value
+    if isinstance(value, ExactNumber):
+        return value if value._rat is None else value._rat
+    if isinstance(value, bool):
+        raise TypeError("bool is not a number here")
+    if isinstance(value, (int, str, Fraction)):
+        return Fraction(value)
+    if isinstance(value, float):
+        raise TypeError("floats are inexact; pass an int, Fraction or 'p/q' string")
+    raise TypeError(f"cannot make an exact number from {type(value).__name__}")
 
 
 def _coerce(value) -> ExactNumber:
     if isinstance(value, ExactNumber):
         return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a number here")
-    if isinstance(value, int):
-        return _leaf(_rat(value))
-    if isinstance(value, (str, Fraction)):
-        return _leaf(_rat(value))
-    if type(value).__name__ == "mpq":
-        return _leaf(_rat(value))
-    if isinstance(value, float):
-        raise TypeError("floats are inexact; pass an int, Fraction or 'p/q' string")
-    raise TypeError(f"cannot make an ExactNumber from {type(value).__name__}")
+    return _leaf(number(value))
 
 
 def rational(value) -> ExactNumber:
@@ -324,12 +329,12 @@ def sqrt(x) -> ExactNumber:
     if s == 0:
         return _ZERO
     if x._rat is not None:
-        p = int(x._rat.numerator)
-        q = int(x._rat.denominator)
+        p = x._rat.numerator
+        q = x._rat.denominator
         rp = isqrt(p)
         rq = isqrt(q)
         if rp * rp == p and rq * rq == q:
-            return _leaf(_rat(rp) / _rat(rq))
+            return _leaf(Fraction(rp, rq))
     return _node(OP_SQRT, (x,), 1)
 
 
@@ -538,8 +543,8 @@ def _flatten(x: ExactNumber):
             ops.append(OP_LEAF)
             a1.append(len(nums))
             a2.append(0)
-            nums.append(int(node._rat.numerator))
-            dens.append(int(node._rat.denominator))
+            nums.append(node._rat.numerator)
+            dens.append(node._rat.denominator)
             stack.pop()
             continue
         pending = [c for c in node._args if id(c) not in index]
@@ -635,21 +640,21 @@ def _refine_sign(x: ExactNumber) -> int:
 
 def sign(x) -> int:
     """Exact sign: -1, 0 or +1."""
-    x = _coerce(x)
-    if x._sign is not None:
-        return x._sign
-    s = _refine_sign(x)
-    x._sign = s
-    return s
+    x = number(x)
+    if type(x) is Fraction:
+        n = x.numerator
+        return -1 if n < 0 else (0 if n == 0 else 1)
+    if x._sign is None:
+        x._sign = _refine_sign(x)
+    return x._sign
 
 
 def compare(x, y) -> int:
     """Exact order: LT, EQ or GT."""
-    x = _coerce(x)
-    y = _coerce(y)
-    if x._rat is not None and y._rat is not None:
-        a, b = x._rat, y._rat
-        return LT if a < b else (EQ if a == b else GT)
+    x = number(x)
+    y = number(y)
+    if type(x) is Fraction and type(y) is Fraction:
+        return LT if x < y else (EQ if x == y else GT)
     return sign(sub(x, y))
 
 
@@ -665,14 +670,14 @@ def approximate(x, error_bound) -> Fraction:
     midpoint is returned, so the result always lies inside the final
     interval.
     """
-    x = _coerce(x)
+    x = number(x)
     if isinstance(error_bound, ExactNumber):
         error_bound = error_bound.as_fraction()
     err = Fraction(error_bound)
     if err <= 0:
         raise ValueError("error bound must be positive")
-    if x._rat is not None:
-        return x.as_fraction()
+    if type(x) is Fraction:
+        return x
     ops, a1, a2, nums, dens = _flatten(x)
     prec = 64
     while True:
@@ -701,11 +706,7 @@ def decimal_string(x, places: int = 12) -> str:
     Deterministic: for rational x this is exact rounding; otherwise x is
     first approximated to 10**-(places+1).
     """
-    x = _coerce(x)
-    if x._rat is not None:
-        q = x.as_fraction()
-    else:
-        q = approximate(x, Fraction(1, 10 ** (places + 1)))
+    q = approximate(x, Fraction(1, 10 ** (places + 1)))
     neg = q < 0
     if neg:
         q = -q

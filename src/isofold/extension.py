@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cmp_to_key
 from typing import NamedTuple
 
-from .exactreal import ExactNumber, compare, equals, sign
+from .exactreal import compare, equals, sign
 from .geometry import (
     ConvexPolygon,
     DegenerateHull,

@@ -28,6 +28,7 @@ from .exactreal import (
     decimal_string,
     div,
     mul,
+    number,
     sqrt,
     sub,
 )
@@ -74,9 +75,10 @@ def _parse_rational(text) -> Fraction:
         raise ParseError(f"zero denominator: {text!r}") from None
 
 
-def number_to_json(x: ExactNumber):
-    if x.is_rational:
-        return str(x.as_fraction())
+def number_to_json(x):
+    x = number(x)
+    if type(x) is Fraction:
+        return str(x)
     rows = []
     seen = {}
 
@@ -84,8 +86,9 @@ def number_to_json(x: ExactNumber):
         key = id(node)
         if key in seen:
             return seen[key]
-        if node.is_rational:
-            rows.append(str(node.as_fraction()))
+        leaf = number(node)
+        if type(leaf) is Fraction:
+            rows.append(str(leaf))
         else:
             args = [visit(a) for a in node._args]
             rows.append({"op": _OP_NAMES[node._op], "args": args})
@@ -96,10 +99,10 @@ def number_to_json(x: ExactNumber):
     return {"nodes": rows, "approx": decimal_string(x, 12)}
 
 
-def number_from_json(obj) -> ExactNumber:
+def number_from_json(obj):
     """Rebuild a number; the value is the final node of the DAG."""
     if isinstance(obj, str):
-        return ExactNumber(_parse_rational(obj))
+        return _parse_rational(obj)
     if not isinstance(obj, dict):
         raise ParseError(f"not a number encoding: {obj!r}")
     nodes = obj.get("nodes")
@@ -154,8 +157,8 @@ def serialize_instance(inst: Instance) -> str:
     rows = []
     for a, b in inst.pairs():
         rows.append({
-            "a": [str(a.x.as_fraction()), str(a.y.as_fraction())],
-            "b": [str(b.x.as_fraction()), str(b.y.as_fraction())],
+            "a": [str(a.x), str(a.y)],
+            "b": [str(b.x), str(b.y)],
         })
     return _canonical({"points": rows})
 

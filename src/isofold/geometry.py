@@ -1,7 +1,8 @@
 """Exact planar geometry: points, lines, convex polygons, predicates.
 
-Every predicate is decided exactly through ExactNumber signs; rational
-inputs take a fast path on the underlying rational backend.  Degenerate
+Coordinates are exact numbers in the normal form of ``exactreal.number``:
+Fractions, or ExactNumbers where a value is irrational.  Every predicate
+is the exact sign of one expression in them.  Degenerate
 results (empty or lower-dimensional clips, flat hulls) are first-class
 values, not errors, so callers can branch on them without try/except.
 """
@@ -11,7 +12,9 @@ from __future__ import annotations
 from enum import Enum
 from functools import cmp_to_key
 
-from .exactreal import EQ, ExactNumber, compare, _coerce
+from fractions import Fraction
+
+from .exactreal import compare, number, sign
 
 __all__ = [
     "Point",
@@ -51,13 +54,13 @@ class Point:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        self.x = _coerce(x)
-        self.y = _coerce(y)
+        self.x = number(x)
+        self.y = number(y)
 
     def __eq__(self, other):
         if not isinstance(other, Point):
             return NotImplemented
-        return compare(self.x, other.x) == EQ and compare(self.y, other.y) == EQ
+        return self.x == other.x and self.y == other.y
 
     def __ne__(self, other):
         eq = self.__eq__(other)
@@ -67,32 +70,18 @@ class Point:
 
     @property
     def is_rational(self) -> bool:
-        return self.x.is_rational and self.y.is_rational
+        return type(self.x) is Fraction and type(self.y) is Fraction
 
     def __repr__(self):
         return f"Point({self.x!r}, {self.y!r})"
 
 
-def _sign_of(v: ExactNumber) -> int:
-    from .exactreal import sign
-
-    return sign(v)
-
-
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p->q->r: +1 counterclockwise, -1 clockwise, 0 flat."""
-    ax, ay = p.x._rat, p.y._rat
-    bx, by = q.x._rat, q.y._rat
-    cx, cy = r.x._rat, r.y._rat
-    if ax is not None and ay is not None and bx is not None and by is not None \
-            and cx is not None and cy is not None:
-        v = (bx - ax) * (cy - ay) - (by - ay) * (cx - ax)
-        return -1 if v < 0 else (0 if v == 0 else 1)
-    cross = (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-    return _sign_of(cross)
+    return sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
 
 
-def squared_distance(p: Point, q: Point) -> ExactNumber:
+def squared_distance(p: Point, q: Point):
     dx = q.x - p.x
     dy = q.y - p.y
     return dx * dx + dy * dy
@@ -124,24 +113,18 @@ class Line:
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a, b, c):
-        self.a = _coerce(a)
-        self.b = _coerce(b)
-        self.c = _coerce(c)
-        if _sign_of(self.a) == 0 and _sign_of(self.b) == 0:
+        self.a = number(a)
+        self.b = number(b)
+        self.c = number(c)
+        if sign(self.a) == 0 and sign(self.b) == 0:
             raise ValueError("line coefficients (a, b) must not both be zero")
 
-    def value(self, p: Point) -> ExactNumber:
+    def value(self, p: Point):
         return self.a * p.x + self.b * p.y - self.c
 
     def side(self, p: Point) -> int:
         """Sign of a*x + b*y - c at p; 0 means p lies on the line."""
-        a, b, c = self.a._rat, self.b._rat, self.c._rat
-        x, y = p.x._rat, p.y._rat
-        if a is not None and b is not None and c is not None \
-                and x is not None and y is not None:
-            v = a * x + b * y - c
-            return -1 if v < 0 else (0 if v == 0 else 1)
-        return _sign_of(self.value(p))
+        return sign(self.value(p))
 
     def contains(self, p: Point) -> bool:
         return self.side(p) == 0
@@ -150,12 +133,10 @@ class Line:
         # Same locus, up to scaling of the coefficients.
         if not isinstance(other, Line):
             return NotImplemented
-        from .exactreal import equals
-
-        if not equals(self.a * other.b, self.b * other.a):
-            return False
-        return equals(self.a * other.c, self.c * other.a) and equals(
-            self.b * other.c, self.c * other.b
+        return (
+            self.a * other.b == self.b * other.a
+            and self.a * other.c == self.c * other.a
+            and self.b * other.c == self.c * other.b
         )
 
     __hash__ = None
@@ -190,7 +171,7 @@ class Triangle:
     def vertices(self):
         return (self.v0, self.v1, self.v2)
 
-    def area2(self) -> ExactNumber:
+    def area2(self):
         """Twice the signed area (positive for counterclockwise order)."""
         return (self.v1.x - self.v0.x) * (self.v2.y - self.v0.y) - (
             self.v1.y - self.v0.y
@@ -239,9 +220,9 @@ class ConvexPolygon:
         n = len(vs)
         return [Segment(vs[i], vs[(i + 1) % n]) for i in range(n)]
 
-    def area2(self) -> ExactNumber:
+    def area2(self):
         vs = self.vertices
-        total = _coerce(0)
+        total = Fraction(0)
         for i in range(1, len(vs) - 1):
             total = total + Triangle(vs[0], vs[i], vs[i + 1]).area2()
         return total
@@ -454,9 +435,9 @@ def segment_intersection(s1: Segment, s2: Segment):
     if d1 == 0 and d2 == 0:
         # Collinear: project on the longer axis of s1 and intersect ranges.
         dx = s1.q.x - s1.p.x
-        use_x = _sign_of(dx) != 0
+        use_x = sign(dx) != 0
 
-        def key(pt: Point) -> ExactNumber:
+        def key(pt: Point):
             return pt.x if use_x else pt.y
 
         a, b = (s1.p, s1.q) if compare(key(s1.p), key(s1.q)) != 1 else (s1.q, s1.p)

@@ -7,7 +7,9 @@ with squared distances only, so no square root ever enters.
 
 from __future__ import annotations
 
-from .exactreal import ExactNumber, _coerce, equals, sign
+from fractions import Fraction
+
+from .exactreal import equals, number, sign
 from .geometry import Line, Point, orientation, squared_distance
 
 __all__ = [
@@ -38,37 +40,30 @@ class CoincidentSources(ValueError):
 class Motion:
     """An isometry of the plane.
 
-    Entries are ExactNumbers.  The checked constructor verifies
-    orthogonality; parse paths that must surface broken files to the
-    structural audit use ``Motion.unchecked``.
+    Entries are exact numbers in the normal form of ``exactreal.number``.
+    The checked constructor verifies orthogonality; parse paths that must
+    surface broken files to the structural audit use ``Motion.unchecked``.
     """
 
     __slots__ = ("r00", "r01", "r10", "r11", "tx", "ty", "_det")
 
-    def __init__(self, rows, translation):
-        (a, b), (c, d) = rows
-        tx, ty = translation
-        self.r00 = _coerce(a)
-        self.r01 = _coerce(b)
-        self.r10 = _coerce(c)
-        self.r11 = _coerce(d)
-        self.tx = _coerce(tx)
-        self.ty = _coerce(ty)
-        self._det = None
-        if not self.is_orthogonal():
+    def __new__(cls, rows, translation):
+        m = cls.unchecked(rows, translation)
+        if not m.is_orthogonal():
             raise ValueError("rotation part must be orthogonal")
+        return m
 
     @classmethod
     def unchecked(cls, rows, translation) -> "Motion":
         m = object.__new__(cls)
         (a, b), (c, d) = rows
         tx, ty = translation
-        m.r00 = _coerce(a)
-        m.r01 = _coerce(b)
-        m.r10 = _coerce(c)
-        m.r11 = _coerce(d)
-        m.tx = _coerce(tx)
-        m.ty = _coerce(ty)
+        m.r00 = number(a)
+        m.r01 = number(b)
+        m.r10 = number(c)
+        m.r11 = number(d)
+        m.tx = number(tx)
+        m.ty = number(ty)
         m._det = None
         return m
 
@@ -81,10 +76,9 @@ class Motion:
         return cls(((1, 0), (0, 1)), (dx, dy))
 
     def is_orthogonal(self) -> bool:
-        one = ExactNumber(1)
         return (
-            equals(self.r00 * self.r00 + self.r10 * self.r10, one)
-            and equals(self.r01 * self.r01 + self.r11 * self.r11, one)
+            equals(self.r00 * self.r00 + self.r10 * self.r10, 1)
+            and equals(self.r01 * self.r01 + self.r11 * self.r11, 1)
             and sign(self.r00 * self.r01 + self.r10 * self.r11) == 0
         )
 
@@ -124,16 +118,16 @@ class Motion:
 
     def is_rational(self) -> bool:
         return all(
-            v.is_rational
+            type(v) is Fraction
             for v in (self.r00, self.r01, self.r10, self.r11, self.tx, self.ty)
         )
 
     def kind(self) -> str:
         ident = (
-            equals(self.r00, ExactNumber(1))
+            equals(self.r00, 1)
             and sign(self.r01) == 0
             and sign(self.r10) == 0
-            and equals(self.r11, ExactNumber(1))
+            and equals(self.r11, 1)
         )
         if ident:
             if sign(self.tx) == 0 and sign(self.ty) == 0:
@@ -143,9 +137,9 @@ class Motion:
             return "rotation"
         # Mirror direction spans the +1 eigenspace of R; of the two
         # candidate eigenvectors at least one is nonzero.
-        dx, dy = self.r01, ExactNumber(1) - self.r00
+        dx, dy = self.r01, 1 - self.r00
         if sign(dx) == 0 and sign(dy) == 0:
-            dx, dy = ExactNumber(1) + self.r00, self.r10
+            dx, dy = 1 + self.r00, self.r10
         if sign(self.tx * dx + self.ty * dy) == 0:
             return "reflection"
         return "glide_reflection"
@@ -194,13 +188,13 @@ def compose(outer: Motion, inner: Motion) -> Motion:
 def reflection_across_line(line: Line) -> Motion:
     a, b, c = line.a, line.b, line.c
     d2 = a * a + b * b
-    ab2 = ExactNumber(2) * a * b / d2
+    ab2 = 2 * a * b / d2
     return Motion.unchecked(
         (
             ((b * b - a * a) / d2, -ab2),
             (-ab2, (a * a - b * b) / d2),
         ),
-        (ExactNumber(2) * a * c / d2, ExactNumber(2) * b * c / d2),
+        (2 * a * c / d2, 2 * b * c / d2),
     )
 
 

@@ -69,11 +69,9 @@ class ValidationReport:
         return f"ValidationReport({status}, {len(self.checks)} checks)"
 
 
-def _rational_bbox(points):
-    xs = [p.x._rat for p in points]
-    ys = [p.y._rat for p in points]
-    if any(v is None for v in xs) or any(v is None for v in ys):
-        return None
+def _bbox(points):
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -129,23 +127,20 @@ class PLMap:
     def _bboxes(self):
         if self._boxes is None:
             self._boxes = [
-                _rational_bbox([self.vertices[i], self.vertices[j], self.vertices[k]])
+                _bbox([self.vertices[i], self.vertices[j], self.vertices[k]])
                 for i, j, k, _ in self.triangles
             ]
         return self._boxes
 
     def locate(self, p: Point) -> int:
         """Index of a triangle containing p (boundary inclusive)."""
-        px, py = p.x._rat, p.y._rat
-        boxes = self._bboxes() if px is not None and py is not None else None
+        px, py = p.x, p.y
+        boxes = self._bboxes()
         vs = self.vertices
         for t, (i, j, k, _) in enumerate(self.triangles):
-            if boxes is not None:
-                box = boxes[t]
-                if box is not None and (
-                    px < box[0] or px > box[1] or py < box[2] or py > box[3]
-                ):
-                    continue
+            box = boxes[t]
+            if px < box[0] or px > box[1] or py < box[2] or py > box[3]:
+                continue
             a, b, c = vs[i], vs[j], vs[k]
             if (
                 orientation(a, b, p) >= 0
@@ -225,9 +220,8 @@ class PLMap:
             ps = self._triangle_poly(s)
             for t in range(s + 1, n):
                 bs, bt = boxes[s], boxes[t]
-                if bs is not None and bt is not None:
-                    if bs[1] < bt[0] or bt[1] < bs[0] or bs[3] < bt[2] or bt[3] < bs[2]:
-                        continue
+                if bs[1] < bt[0] or bt[1] < bs[0] or bs[3] < bt[2] or bt[3] < bs[2]:
+                    continue
                 region = ps
                 for edge in self._triangle_poly(t).edges():
                     # Interior of a ccw polygon is the +1 side of this form.
@@ -259,9 +253,8 @@ class PLMap:
             ms = self.motions[self.triangles[s][3]]
             for t in range(s + 1, n):
                 bs, bt = boxes[s], boxes[t]
-                if bs is not None and bt is not None:
-                    if bs[1] < bt[0] or bt[1] < bs[0] or bs[3] < bt[2] or bt[3] < bs[2]:
-                        continue
+                if bs[1] < bt[0] or bt[1] < bs[0] or bs[3] < bt[2] or bt[3] < bs[2]:
+                    continue
                 mt = self.motions[self.triangles[t][3]]
                 if ms is mt:
                     continue
@@ -319,9 +312,8 @@ def assemble(domain: ConvexPolygon, pieces) -> PLMap:
     motions: list[Motion] = []
 
     def vertex_id(p: Point) -> int:
-        xr, yr = p.x._rat, p.y._rat
-        if xr is not None and yr is not None:
-            key = (xr, yr)
+        if p.is_rational:
+            key = (p.x, p.y)
             got = rational_index.get(key)
             if got is None:
                 rational_index[key] = got = len(vertices)

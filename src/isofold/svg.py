@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactreal import ExactNumber, approximate, decimal_string
+from .exactreal import approximate, decimal_string
 from .extension import Instance
 from .geometry import Point
 from .plmap import PLMap
@@ -31,8 +31,6 @@ FILL_BY_KIND = {
 
 
 def _approx(x) -> Fraction:
-    if x.is_rational:
-        return x.as_fraction()
     return approximate(x, Fraction(1, 10**13))
 
 
@@ -55,7 +53,7 @@ class _Frame:
     def place(self, p: Point) -> str:
         x = self.offset_x + (_approx(p.x) - self.xmin) * self.scale
         y = MARGIN + (self.ymax - _approx(p.y)) * self.scale
-        return f"{decimal_string(ExactNumber(x), 3)},{decimal_string(ExactNumber(y), 3)}"
+        return f"{decimal_string(x, 3)},{decimal_string(y, 3)}"
 
 
 def _panel(frame, triangles, labels, title):

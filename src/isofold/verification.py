@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
-from .exactreal import GT, approximate, compare, decimal_string
+from .exactreal import GT, approximate, compare, decimal_string, number
 from .extension import Instance, Violation
 from .geometry import Location, Point, point_in_polygon, squared_distance
 from .plmap import OutsideDomain, PLMap
@@ -30,6 +30,9 @@ __all__ = [
 ]
 
 DENOMINATOR_BITS = 16
+# A failed sampled check reports its first few failing samples only; the
+# verdict needs one, and a broken map can fail nearly every sample.
+MAX_WITNESSES = 10
 
 
 @dataclass(frozen=True)
@@ -93,9 +96,8 @@ class AuditReport:
 
 
 def _fmt(x) -> str:
-    if x.is_rational:
-        return str(x.as_fraction())
-    return decimal_string(x, 12)
+    x = number(x)
+    return str(x) if type(x) is Fraction else decimal_string(x, 12)
 
 
 def _fmt_point(p: Point) -> dict:
@@ -147,8 +149,8 @@ def _domain_bounds(f: PLMap):
     xs = []
     ys = []
     for v in f.domain.vertices:
-        xs.append(v.x.as_fraction() if v.x.is_rational else approximate(v.x, eps))
-        ys.append(v.y.as_fraction() if v.y.is_rational else approximate(v.y, eps))
+        xs.append(approximate(v.x, eps))
+        ys.append(approximate(v.y, eps))
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -156,7 +158,8 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
     """Sampled pairwise non-expansiveness over the domain.
 
     Points are drawn on the 2^-16 rational grid by rejection inside the
-    domain, so every comparison stays exact in Exact mode.
+    domain, so every comparison stays exact in Exact mode.  Sampling
+    stops at the MAX_WITNESSES-th failing sample.
     """
     rng = random.Random(cfg.rng_seed)
     bounds = _domain_bounds(f)
@@ -165,6 +168,8 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
     )
     violations = []
     for k in range(cfg.sample_count):
+        if len(violations) == MAX_WITNESSES:
+            break
         p = _sample_point(rng, bounds, f.domain)
         q = _sample_point(rng, bounds, f.domain)
         gap2 = squared_distance(p, q)
@@ -210,8 +215,8 @@ def brute_force_feasibility(inst: Instance) -> Optional[Violation]:
     Intentionally not a wrapper around the construction's own pre-check;
     this recomputes every comparison from Fractions.
     """
-    src = [(p.x.as_fraction(), p.y.as_fraction()) for p in inst.sources]
-    dst = [(p.x.as_fraction(), p.y.as_fraction()) for p in inst.targets]
+    src = [(p.x, p.y) for p in inst.sources]
+    dst = [(p.x, p.y) for p in inst.targets]
     n = len(src)
     for i in range(n):
         for j in range(i + 1, n):

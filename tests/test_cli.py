@@ -133,6 +133,29 @@ class TestExtend:
         assert stderr_json(capsys)["error"] == "parse"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("command", ["extend", "verify"])
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_nonpositive_samples_exit_1(self, golden_path, command, samples, capsys):
+        files = (
+            ["--input", str(golden_path)] if command == "extend"
+            else ["--map", str(golden_path), "--instance", str(golden_path)]
+        )
+        assert main([command, *files, "--samples", samples]) == 1
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert "--samples" in err["detail"]
+
+    def test_missing_input_exit_1(self, capsys):
+        assert main(["extend", "--samples", "5"]) == 1
+        captured = capsys.readouterr()
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert "--input" in err["detail"]
+
+
 class TestVerify:
     def make_map(self, golden_path, tmp_path) -> str:
         out = tmp_path / "map.json"
@@ -215,6 +238,29 @@ class TestVerify:
         report = json.loads(captured.out)
         lipschitz = next(c for c in report["checks"] if c["name"] == "lipschitz_exact")
         assert lipschitz["witness"][0]["error"] == "outside domain"
+
+    def test_lipschitz_witnesses_capped(self, tmp_path, capsys):
+        # The tiling-hole map fails most of the default 1000 samples.
+        dom = ConvexPolygon([Point(0, 0), Point(4, 0), Point(0, 4)])
+        ident = Motion.identity()
+        hole = assemble(dom, [
+            (Triangle(Point(0, 0), Point(2, 0), Point(0, 2)), ident),
+            (Triangle(Point(5, 0), Point(9, 0), Point(5, 3)), ident),
+        ])
+        instance = write_instance(
+            tmp_path, "corners.json",
+            [(0, 0, 0, 0), (4, 0, 4, 0), (0, 4, 0, 4)],
+        )
+        map_path = tmp_path / "hole.json"
+        map_path.write_text(
+            serialize_map(hole, instance_hash(parse_instance(instance.read_text())))
+        )
+        assert main(["verify", "--map", str(map_path), "--instance", str(instance)]) == 4
+        report = json.loads(capsys.readouterr().out)
+        lipschitz = next(c for c in report["checks"] if c["name"] == "lipschitz_exact")
+        samples = [w["sample"] for w in lipschitz["witness"]]
+        assert len(samples) == 10
+        assert samples == sorted(samples)
 
 
 def test_module_entry_point(tmp_path):

@@ -1,0 +1,71 @@
+"""The number form: rationals are Fractions, ExactNumber is irrational."""
+
+from __future__ import annotations
+
+import ast
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from isofold import ExactNumber, sqrt
+from isofold.exactreal import number
+from isofold.geometry import Line, Point
+from isofold.motions import Motion
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+class TestNormalForm:
+    def test_rationals_become_fractions(self):
+        for value in (3, "6/4", Fraction(3, 2), ExactNumber("3/2"), sqrt(Fraction(9, 4))):
+            x = number(value)
+            assert type(x) is Fraction
+        assert number("6/4") == Fraction(3, 2)
+
+    def test_irrational_kept(self):
+        r = sqrt(2)
+        assert number(r) is r
+
+    @pytest.mark.parametrize("bad", [1.5, True, None])
+    def test_rejected(self, bad):
+        with pytest.raises(TypeError):
+            number(bad)
+
+    def test_point_line_motion_store_fractions(self):
+        p = Point(ExactNumber("3/2"), 1)
+        assert type(p.x) is Fraction and p.x == Fraction(3, 2)
+        assert type(p.y) is Fraction
+        line = Line(ExactNumber(2), "1/2", 0)
+        assert all(type(v) is Fraction for v in (line.a, line.b, line.c))
+        m = Motion(((0, ExactNumber(-1)), (1, 0)), ("1/3", 0))
+        assert all(type(v) is Fraction for v in (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty))
+        assert type(Point(sqrt(2), 0).x) is ExactNumber
+
+    def test_floats_rejected(self):
+        with pytest.raises(TypeError):
+            Point(0.5, 0)
+        with pytest.raises(TypeError):
+            Line(1, 0.5, 0)
+        with pytest.raises(TypeError):
+            Motion(((1, 0), (0, 1)), (0.25, 0))
+        with pytest.raises(TypeError):
+            Motion.unchecked(((1.0, 0), (0, 1)), (0, 0))
+
+
+def test_representation_lives_in_exactreal():
+    # Only exactreal looks inside an ExactNumber's rational slot, and
+    # there is one rational backend.
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted((SRC / "isofold").glob("*.py"))
+        if path.name != "exactreal.py"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "_rat"
+    ]
+    assert reads == []
+    mentions = [
+        str(path) for path in sorted(SRC.rglob("*.py"))
+        if "gmpy2" in path.read_text()
+    ]
+    assert mentions == []

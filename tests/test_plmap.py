@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import pytest
 
-from isofold.geometry import ConvexPolygon, Line, Point, Triangle
+from fractions import Fraction
+
+from isofold import sqrt
+from isofold.geometry import ConvexPolygon, Line, Point, Triangle, orientation
 from isofold.motions import Motion, reflection_across_line
 from isofold.plmap import (
     IndexOutOfRange,
@@ -208,3 +211,73 @@ class TestEquality:
         a = folded_map()
         b = folded_map()
         assert a == b
+
+
+def irrational_fold_map() -> PLMap:
+    """The folded square with its diagonal split at (sqrt2, sqrt2)."""
+    v = P(sqrt(2), sqrt(2))
+    dom = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
+    mirror = reflection_across_line(Line(1, -1, 0))
+    ident = Motion.identity()
+    return assemble(dom, [
+        (Triangle(P(0, 0), P(2, 0), v), ident),
+        (Triangle(P(2, 0), P(2, 2), v), ident),
+        (Triangle(P(0, 0), v, P(0, 2)), mirror),
+        (Triangle(v, P(2, 2), P(0, 2)), mirror),
+    ])
+
+
+def covering_cells(m: PLMap, p: Point):
+    """Every cell containing p, by a scan with no bounding-box filter."""
+    out = []
+    for t in range(len(m)):
+        a, b, c = m.cell(t).vertices
+        if orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0 \
+                and orientation(c, a, p) >= 0:
+            out.append(t)
+    return out
+
+
+class TestIrrationalCoordinates:
+    # One is written here as an irrational expression, so query points
+    # built from it stay ExactNumbers and meet the rational cell boxes.
+    one = (sqrt(2) + 1) * (sqrt(2) - 1)
+
+    def queries(self):
+        one, r = self.one, sqrt(2)
+        return [
+            P(one, one / 2), P(one / 2, one), P(one, one), P(r, r),
+            P(2 - r / 4, r / 4), P("3/2", "1/2"), P(2, 2),
+        ]
+
+    def test_query_coordinate_stays_irrational(self):
+        assert not isinstance(self.one, Fraction)
+        assert self.one == 1
+
+    def test_validate(self):
+        m = irrational_fold_map()
+        assert len(m.vertices) == 5
+        rep = m.validate()
+        assert rep.all_passed, rep.failures()
+
+    def test_locate_and_evaluate_match_scan(self):
+        m = irrational_fold_map()
+        for p in self.queries():
+            cells = covering_cells(m, p)
+            assert cells, p
+            assert m.locate(p) in cells
+            images = [m.restrict_motion(t).apply(p) for t in cells]
+            assert all(m.evaluate(p) == image for image in images)
+
+    def test_images(self):
+        m = irrational_fold_map()
+        one = self.one
+        assert m.evaluate(P(one, one / 2)) == P(1, "1/2")
+        assert m.evaluate(P(one / 2, one)) == P(1, "1/2")
+
+    def test_outside(self):
+        m = irrational_fold_map()
+        for p in (P(3 * self.one, 0), P(sqrt(2) - 2, 1)):
+            assert covering_cells(m, p) == []
+            with pytest.raises(OutsideDomain):
+                m.locate(p)
