@@ -640,6 +640,8 @@ def _refine_sign(x: ExactNumber) -> int:
 
 def sign(x) -> int:
     """Exact sign: -1, 0 or +1."""
+    if type(x) is int:
+        return (x > 0) - (x < 0)
     x = number(x)
     if type(x) is Fraction:
         n = x.numerator

@@ -2,7 +2,10 @@
 
 Coordinates are exact numbers in the normal form of ``exactreal.number``:
 Fractions, or ExactNumbers where a value is irrational.  Every predicate
-is the exact sign of one expression in them.  Degenerate
+is the exact sign of one expression in them.  Point-in-polygon tests
+evaluate each edge's half-plane as an integer form ``edge_form`` built
+once per edge, against the point's integer ``homogeneous`` coordinates,
+so a rational test is integer arithmetic alone.  Degenerate
 results (empty or lower-dimensional clips, flat hulls) are first-class
 values, not errors, so callers can branch on them without try/except.
 """
@@ -13,6 +16,7 @@ from enum import Enum
 from functools import cmp_to_key
 
 from fractions import Fraction
+from math import lcm
 
 from .exactreal import compare, number, sign
 
@@ -30,6 +34,8 @@ __all__ = [
     "CoincidentPoints",
     "ApexOutside",
     "orientation",
+    "edge_form",
+    "homogeneous",
     "squared_distance",
     "convex_hull",
     "perpendicular_bisector",
@@ -79,6 +85,34 @@ class Point:
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p->q->r: +1 counterclockwise, -1 clockwise, 0 flat."""
     return sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def homogeneous(p: Point):
+    """(X, Y, W) with p = (X/W, Y/W) and W > 0.
+
+    Integers with W the lcm of the denominators for a rational point,
+    (x, y, 1) otherwise, so that ``a*X + b*Y - c*W`` is one expression
+    for both.
+    """
+    x, y = p.x, p.y
+    if p.is_rational:
+        dx, dy = x.denominator, y.denominator
+        w = lcm(dx, dy)
+        return x.numerator * (w // dx), y.numerator * (w // dy), w
+    return x, y, 1
+
+
+def edge_form(p: Point, q: Point):
+    """(a, b, c) with orientation(p, q, r) == sign(a*X + b*Y - c*W).
+
+    Here (X, Y, W) = homogeneous(r): the form is the 3x3 determinant of
+    the homogeneous p, q and r, expanded along r's row, which is
+    orientation scaled by the positive W of p, q and r.  Rational
+    endpoints give integers; otherwise the entries are exact numbers.
+    """
+    px, py, pw = homogeneous(p)
+    qx, qy, qw = homogeneous(q)
+    return py * qw - pw * qy, pw * qx - px * qw, py * qx - px * qy
 
 
 def squared_distance(p: Point, q: Point):
@@ -192,10 +226,11 @@ class ConvexPolygon:
     """Strictly convex polygon, vertices counterclockwise, no repeats.
 
     Strict convexity means every consecutive vertex triple turns left,
-    which also rules out repeated and collinear vertices.
+    which also rules out repeated and collinear vertices.  The edge
+    forms are built on first use and kept.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_forms")
 
     def __init__(self, vertices):
         vs = tuple(vertices)
@@ -208,6 +243,7 @@ class ConvexPolygon:
                     "vertices must be strictly convex in counterclockwise order"
                 )
         self.vertices = vs
+        self._forms = None
 
     def __len__(self):
         return len(self.vertices)
@@ -219,6 +255,14 @@ class ConvexPolygon:
         vs = self.vertices
         n = len(vs)
         return [Segment(vs[i], vs[(i + 1) % n]) for i in range(n)]
+
+    def edge_forms(self):
+        """The edge_form of each edge, counterclockwise; interior is +1."""
+        if self._forms is None:
+            vs = self.vertices
+            n = len(vs)
+            self._forms = tuple(edge_form(vs[i], vs[(i + 1) % n]) for i in range(n))
+        return self._forms
 
     def area2(self):
         vs = self.vertices
@@ -386,11 +430,10 @@ def triangulate_fan(poly: ConvexPolygon, apex: Point):
 
 
 def point_in_polygon(p: Point, poly: ConvexPolygon) -> Location:
-    vs = poly.vertices
-    n = len(vs)
+    x, y, w = homogeneous(p)
     on_edge = False
-    for i in range(n):
-        s = orientation(vs[i], vs[(i + 1) % n], p)
+    for a, b, c in poly.edge_forms():
+        s = sign(a * x + b * y - c * w)
         if s < 0:
             return Location.OUTSIDE
         if s == 0:

@@ -8,7 +8,7 @@ than an exception mid-parse.
 
 from __future__ import annotations
 
-from .exactreal import equals
+from .exactreal import equals, sign
 from .geometry import (
     ConvexPolygon,
     Line,
@@ -17,6 +17,8 @@ from .geometry import (
     Segment,
     Triangle,
     clip_polygon_halfplane,
+    edge_form,
+    homogeneous,
     orientation,
     point_in_polygon,
     segment_intersection,
@@ -79,9 +81,11 @@ class PLMap:
     """A triangulated convex domain with a motion attached to each cell.
 
     triangles holds (i, j, k, m) index rows into vertices and motions.
+    The cells' bounding boxes and edge forms are built on first use and
+    kept.
     """
 
-    __slots__ = ("domain", "vertices", "triangles", "motions", "_boxes")
+    __slots__ = ("domain", "vertices", "triangles", "motions", "_boxes", "_forms")
 
     def __init__(self, domain: ConvexPolygon, vertices, triangles, motions):
         self.domain = domain
@@ -99,6 +103,7 @@ class PLMap:
             if not 0 <= m < nm:
                 raise IndexOutOfRange(f"motion index out of range in {row}")
         self._boxes = None
+        self._forms = None
 
     @classmethod
     def unchecked(cls, domain, vertices, triangles, motions) -> "PLMap":
@@ -108,6 +113,7 @@ class PLMap:
         m.triangles = tuple(tuple(row) for row in triangles)
         m.motions = tuple(motions)
         m._boxes = None
+        m._forms = None
         return m
 
     def __len__(self):
@@ -132,20 +138,23 @@ class PLMap:
             ]
         return self._boxes
 
+    def _cell_forms(self):
+        if self._forms is None:
+            vs = self.vertices
+            self._forms = [
+                (edge_form(vs[i], vs[j]), edge_form(vs[j], vs[k]), edge_form(vs[k], vs[i]))
+                for i, j, k, _ in self.triangles
+            ]
+        return self._forms
+
     def locate(self, p: Point) -> int:
-        """Index of a triangle containing p (boundary inclusive)."""
-        px, py = p.x, p.y
-        boxes = self._bboxes()
-        vs = self.vertices
-        for t, (i, j, k, _) in enumerate(self.triangles):
-            box = boxes[t]
-            if px < box[0] or px > box[1] or py < box[2] or py > box[3]:
-                continue
-            a, b, c = vs[i], vs[j], vs[k]
+        """Index of the first triangle containing p (boundary inclusive)."""
+        x, y, w = homogeneous(p)
+        for t, (e0, e1, e2) in enumerate(self._cell_forms()):
             if (
-                orientation(a, b, p) >= 0
-                and orientation(b, c, p) >= 0
-                and orientation(c, a, p) >= 0
+                sign(e0[0] * x + e0[1] * y - e0[2] * w) >= 0
+                and sign(e1[0] * x + e1[1] * y - e1[2] * w) >= 0
+                and sign(e2[0] * x + e2[1] * y - e2[2] * w) >= 0
             ):
                 return t
         raise OutsideDomain("point is not covered by any triangle")
@@ -303,13 +312,15 @@ class PLMap:
 def assemble(domain: ConvexPolygon, pieces) -> PLMap:
     """Build a PLMap from (Triangle, Motion) pairs, sharing repeats.
 
-    Rational vertices dedupe through a dictionary; irrational ones fall
-    back to an exact linear scan.
+    Rational vertices and motions dedupe through dictionaries keyed by
+    their Fraction entries; irrational ones fall back to an exact linear
+    scan.
     """
     vertices: list[Point] = []
     rational_index: dict = {}
     triangles = []
     motions: list[Motion] = []
+    rational_motions: dict = {}
 
     def vertex_id(p: Point) -> int:
         if p.is_rational:
@@ -326,6 +337,13 @@ def assemble(domain: ConvexPolygon, pieces) -> PLMap:
         return len(vertices) - 1
 
     def motion_id(m: Motion) -> int:
+        if m.is_rational():
+            key = (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)
+            got = rational_motions.get(key)
+            if got is None:
+                rational_motions[key] = got = len(motions)
+                motions.append(m)
+            return got
         for i, known in enumerate(motions):
             if known is m or known == m:
                 return i

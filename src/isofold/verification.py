@@ -201,7 +201,18 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
 
 
 def audit_structure(f: PLMap) -> AuditReport:
-    """Re-expose the map's own validation as an audit."""
+    """Re-expose the map's own validation as an audit.
+
+    A pass is an exact proof that f is 1-Lipschitz on its whole domain.
+    The checks establish three conditions: every motion is orthogonal,
+    cells sharing a point agree on it, and the cells tile the convex
+    domain exactly.  A segment between two points of the domain stays
+    in it and crosses finitely many cells; f is continuous, and on each
+    piece it is an isometry, so the image of the segment is a path no
+    longer than the segment, and the triangle inequality bounds the
+    image distance by that length.  Sampling in audit_lipschitz is an
+    independent cross-check of this argument, not the proof.
+    """
     report = f.validate()
     checks = []
     for name, ok, detail in report.checks:

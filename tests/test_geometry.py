@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -23,6 +24,8 @@ from isofold.geometry import (
     Triangle,
     clip_polygon_halfplane,
     convex_hull,
+    edge_form,
+    homogeneous,
     orientation,
     perpendicular_bisector,
     point_in_polygon,
@@ -31,6 +34,7 @@ from isofold.geometry import (
     squared_distance,
     triangulate_fan,
 )
+from isofold.exactreal import sign
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
@@ -300,6 +304,110 @@ class TestPointInPolygon:
         assert point_in_polygon(P(2, 2), self.tri) is Location.BOUNDARY
         assert point_in_polygon(P(4, 4), self.tri) is Location.OUTSIDE
         assert point_in_polygon(P(-1, 0), self.tri) is Location.OUTSIDE
+
+
+def form_sign(form, r: Point) -> int:
+    a, b, c = form
+    x, y, w = homogeneous(r)
+    return sign(a * x + b * y - c * w)
+
+
+def reference_location(p: Point, poly: ConvexPolygon) -> Location:
+    """point_in_polygon as a scan of orientation tests, one per edge."""
+    vs = poly.vertices
+    turns = [orientation(vs[i], vs[(i + 1) % len(vs)], p) for i in range(len(vs))]
+    if min(turns) < 0:
+        return Location.OUTSIDE
+    return Location.BOUNDARY if 0 in turns else Location.INSIDE
+
+
+def big_fraction(rng: random.Random) -> Fraction:
+    return Fraction(rng.randint(-(10**30), 10**30), rng.randint(1, 10**25))
+
+
+class TestEdgeForms:
+    def test_homogeneous(self):
+        assert homogeneous(P("1/6", "-3/4")) == (2, -9, 12)
+        assert homogeneous(P(5, 0)) == (5, 0, 1)
+        r = sqrt(2)
+        assert homogeneous(P(r, "1/3")) == (r, Fraction(1, 3), 1)
+
+    def test_rational_form_is_integer(self):
+        form = edge_form(P("1/3", 0), P(0, "1/5"))
+        assert form == (-3, -5, -1)
+        assert all(type(v) is int for v in form)
+        rng = random.Random(11)
+        for _ in range(50):
+            p = P(big_fraction(rng), big_fraction(rng))
+            q = P(big_fraction(rng), big_fraction(rng))
+            assert all(type(v) is int for v in edge_form(p, q))
+
+    def test_sign_matches_orientation_random(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            p, q, r = (P(big_fraction(rng), big_fraction(rng)) for _ in range(3))
+            assert form_sign(edge_form(p, q), r) == orientation(p, q, r)
+
+    def test_collinear_points_give_zero(self):
+        rng = random.Random(6)
+        for _ in range(100):
+            p = P(big_fraction(rng), big_fraction(rng))
+            q = P(big_fraction(rng), big_fraction(rng))
+            t = big_fraction(rng)
+            r = P(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+            assert orientation(p, q, r) == 0
+            assert form_sign(edge_form(p, q), r) == 0
+            assert form_sign(edge_form(p, q), p) == 0
+            assert form_sign(edge_form(p, q), q) == 0
+
+    def test_irrational_points(self):
+        r2 = sqrt(2)
+        pts = [
+            P(0, 0), P(2, 0), P("1/3", "7/5"), P(r2, r2), P(2 * r2, 2 * r2),
+            P(r2, 1), P(1 - r2 / 4, r2 / 4), P(r2 * r2, 0), P("2/3", r2 - 1),
+        ]
+        for p in pts:
+            for q in pts:
+                if p == q:
+                    continue
+                form = edge_form(p, q)
+                for r in pts:
+                    assert form_sign(form, r) == orientation(p, q, r), (p, q, r)
+
+    def test_polygon_forms_cached(self):
+        poly = ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)])
+        forms = poly.edge_forms()
+        assert poly.edge_forms() is forms
+        assert forms == (edge_form(P(0, 0), P(4, 0)), edge_form(P(4, 0), P(0, 4)),
+                         edge_form(P(0, 4), P(0, 0)))
+
+    def test_point_in_polygon_matches_orientation_scan(self):
+        r2 = sqrt(2)
+        polys = [
+            ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)]),
+            ConvexPolygon([P("1/3", "-2/7"), P("9/2", "1/5"), P("11/3", "13/4"),
+                           P("-1/6", "5/2")]),
+            ConvexPolygon([P(0, 0), P(2, 0), P(r2, r2)]),
+        ]
+        tiny = Fraction(1, 10**20)
+        for poly in polys:
+            vs = poly.vertices
+            n = len(vs)
+            cx = sum((v.x for v in vs), Fraction(0)) / n
+            cy = sum((v.y for v in vs), Fraction(0)) / n
+            queries = [P(cx, cy), P(r2 / 3, r2 / 5), P(3, r2)]
+            for i in range(n):
+                u, v = vs[i], vs[(i + 1) % n]
+                mid = P((u.x + v.x) / 2, (u.y + v.y) / 2)
+                # Just off the edge, along its outward normal (y, -x).
+                off = P(mid.x + (v.y - u.y) * tiny, mid.y - (v.x - u.x) * tiny)
+                inward = P(mid.x - (v.y - u.y) * tiny, mid.y + (v.x - u.x) * tiny)
+                queries += [u, mid, off, inward]
+            for p in queries:
+                got = point_in_polygon(p, poly)
+                assert got is reference_location(p, poly), p
+            locations = {point_in_polygon(p, poly) for p in queries}
+            assert locations == set(Location)
 
 
 class TestSegmentIntersection:

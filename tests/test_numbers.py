@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from isofold import ExactNumber, sqrt
-from isofold.exactreal import number
+from isofold.exactreal import number, sign
 from isofold.geometry import Line, Point
 from isofold.motions import Motion
 
@@ -42,6 +42,13 @@ class TestNormalForm:
         assert all(type(v) is Fraction for v in (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty))
         assert type(Point(sqrt(2), 0).x) is ExactNumber
 
+    def test_sign_of_int(self):
+        assert [sign(v) for v in (-(10**40), -1, 0, 1, 10**40)] == [-1, -1, 0, 1, 1]
+        with pytest.raises(TypeError):
+            sign(True)
+        with pytest.raises(TypeError):
+            sign(False)
+
     def test_floats_rejected(self):
         with pytest.raises(TypeError):
             Point(0.5, 0)
@@ -69,3 +76,34 @@ def test_representation_lives_in_exactreal():
         if "gmpy2" in path.read_text()
     ]
     assert mentions == []
+
+
+# Where a Fraction's integer parts may be read: the number layer, the
+# homogeneous coordinates behind geometry's integer edge forms, and the
+# sampler's grid bounds.
+INTEGER_READERS = {
+    "geometry.py": {"homogeneous"},
+    "verification.py": {"_sample_point"},
+}
+
+
+def test_integer_forms_live_in_one_place():
+    reads = []
+    for path in sorted((SRC / "isofold").glob("*.py")):
+        if path.name == "exactreal.py":
+            continue
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name in INTEGER_READERS.get(
+                path.name, ()
+            ):
+                allowed.update(id(n) for n in ast.walk(node))
+        reads += [
+            f"{path.name}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("numerator", "denominator")
+            and id(node) not in allowed
+        ]
+    assert reads == []

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from fractions import Fraction
 
-from isofold import sqrt
+from instancegen import random_instance
+from isofold import extend_all, sqrt
 from isofold.geometry import ConvexPolygon, Line, Point, Triangle, orientation
 from isofold.motions import Motion, reflection_across_line
 from isofold.plmap import (
@@ -281,3 +284,84 @@ class TestIrrationalCoordinates:
             assert covering_cells(m, p) == []
             with pytest.raises(OutsideDomain):
                 m.locate(p)
+
+    def test_locate_is_first_covering_cell(self):
+        m = irrational_fold_map()
+        assert locate_matches_scan(m, self.queries() + probe_points(m)) > 0
+
+
+def probe_points(m: PLMap):
+    """Cell vertices, edge midpoints, centroids, and points just outside
+    the domain across the middle of each domain edge."""
+    pts = list(m.vertices)
+    for t in range(len(m)):
+        a, b, c = m.cell(t).vertices
+        pts += [P((u.x + v.x) / 2, (u.y + v.y) / 2) for u, v in ((a, b), (b, c), (c, a))]
+        pts.append(P((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3))
+    tiny = Fraction(1, 10**12)
+    vs = m.domain.vertices
+    for i in range(len(vs)):
+        u, v = vs[i], vs[(i + 1) % len(vs)]
+        mx, my = (u.x + v.x) / 2, (u.y + v.y) / 2
+        pts.append(P(mx + (v.y - u.y) * tiny, my - (v.x - u.x) * tiny))
+    return pts
+
+
+def locate_matches_scan(m: PLMap, points) -> int:
+    """Check locate against covering_cells; returns the uncovered count."""
+    outside = 0
+    for p in points:
+        cells = covering_cells(m, p)
+        if cells:
+            assert m.locate(p) == cells[0], p
+        else:
+            outside += 1
+            with pytest.raises(OutsideDomain):
+                m.locate(p)
+    return outside
+
+
+class TestLocateMatchesOrientationScan:
+    def maps(self):
+        rng = random.Random(23)
+        built = [extend_all(random_instance(rng, 7)) for _ in range(4)]
+        return [square_map(), folded_map()] + built
+
+    def test_first_covering_cell(self):
+        for m in self.maps():
+            assert locate_matches_scan(m, probe_points(m)) == len(m.domain)
+
+    def test_forms_built_once(self):
+        m = folded_map()
+        m.locate(P(1, "1/2"))
+        forms = m._forms
+        m.locate(P("1/2", 1))
+        assert m._forms is forms and len(forms) == len(m)
+
+
+class TestMotionDedup:
+    def test_equal_rational_motions_share_an_index(self):
+        dom = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
+        shift = Motion.translation("1/2", 0)
+        m = assemble(dom, [
+            (Triangle(P(0, 0), P(2, 0), P(2, 2)), shift),
+            (Triangle(P(0, 0), P(2, 2), P(0, 2)), Motion.translation("2/4", 0)),
+        ])
+        assert len(m.motions) == 1
+        assert [row[3] for row in m.triangles] == [0, 0]
+
+    def test_irrational_motions_dedup_by_scan(self):
+        h = sqrt(2) / 2
+        g = 1 / sqrt(2)  # the same value, built as a different expression
+        rot = Motion(((h, -h), (h, h)), (0, 0))
+        same = Motion(((g, -g), (g, g)), (0, 0))
+        assert not rot.is_rational() and rot is not same
+        m = assemble(
+            ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)]),
+            [
+                (Triangle(P(0, 0), P(2, 0), P(2, 2)), rot),
+                (Triangle(P(0, 0), P(2, 2), P(0, 2)), Motion.identity()),
+                (Triangle(P(0, 0), P(2, 2), P(0, 2)), same),
+            ],
+        )
+        assert [row[3] for row in m.triangles] == [0, 1, 0]
