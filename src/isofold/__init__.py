@@ -70,10 +70,8 @@ from .extension import (
     refit_region,
 )
 from .verification import (
-    ApproximateMode,
     AuditConfig,
     AuditReport,
-    ExactMode,
     audit_interpolation,
     audit_lipschitz,
     audit_structure,

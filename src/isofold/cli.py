@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from .extension import DegenerateHullError, NonExpansivenessViolation, extend_all
 from .fileio import (
@@ -24,10 +23,8 @@ from .fileio import (
 )
 from .svg import render_svg
 from .verification import (
-    ApproximateMode,
     AuditConfig,
     AuditReport,
-    ExactMode,
     audit_interpolation,
     audit_lipschitz,
     audit_structure,
@@ -40,8 +37,6 @@ EXIT_IO = 1
 EXIT_INFEASIBLE = 2
 EXIT_DEGENERATE = 3
 EXIT_AUDIT = 4
-
-APPROX_TOLERANCE = Fraction(1, 10**9)
 
 
 def _fail(code: int, kind: str, **detail) -> int:
@@ -62,10 +57,6 @@ def _positive_int(text: str) -> int:
     if not text.isdecimal() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
     return int(text)
-
-
-def _mode(name: str):
-    return ExactMode() if name == "exact" else ApproximateMode(APPROX_TOLERANCE)
 
 
 def _run_audits(f, inst, cfg) -> AuditReport:
@@ -96,9 +87,7 @@ def cmd_extend(args) -> int:
 
     report = None
     if args.verify != "none":
-        cfg = AuditConfig(
-            sample_count=args.samples, rng_seed=args.seed, mode=_mode(args.verify)
-        )
+        cfg = AuditConfig(sample_count=args.samples, rng_seed=args.seed)
         report = _run_audits(f, inst, cfg)
 
     document = serialize_map(
@@ -131,9 +120,7 @@ def cmd_verify(args) -> int:
     except ParseError as exc:
         return _fail(EXIT_IO, "parse", detail=str(exc))
 
-    cfg = AuditConfig(
-        sample_count=args.samples, rng_seed=args.seed, mode=_mode(args.mode)
-    )
+    cfg = AuditConfig(sample_count=args.samples, rng_seed=args.seed)
     expected = instance_hash(inst)
     provenance = (
         "provenance.instance_hash",
@@ -166,8 +153,8 @@ def _parser() -> argparse.ArgumentParser:
     ext.add_argument("--output", help="map JSON path (stdout when omitted)")
     ext.add_argument("--svg", help="figure path")
     ext.add_argument(
-        "--verify", choices=["exact", "approx", "none"], default="exact",
-        help="audit mode for the produced map",
+        "--verify", choices=["exact", "none"], default="exact",
+        help="audit the produced map exactly, or not at all",
     )
     ext.add_argument("--samples", type=_positive_int, default=1000)
     ext.add_argument("--seed", type=int, default=0)
@@ -176,7 +163,6 @@ def _parser() -> argparse.ArgumentParser:
     ver = sub.add_parser("verify", help="re-audit a previously written map file")
     ver.add_argument("--map", required=True, help="map JSON path")
     ver.add_argument("--instance", required=True, help="instance JSON path")
-    ver.add_argument("--mode", choices=["exact", "approx"], default="exact")
     ver.add_argument("--samples", type=_positive_int, default=1000)
     ver.add_argument("--seed", type=int, default=0)
     ver.set_defaults(run=cmd_verify)

@@ -8,20 +8,20 @@ than an exception mid-parse.
 
 from __future__ import annotations
 
-from .exactreal import equals, sign
+from bisect import bisect_left
+from itertools import groupby
+from operator import itemgetter
+
+from .exactreal import equals, number, sign
 from .geometry import (
     ConvexPolygon,
-    Line,
     Location,
     Point,
-    Segment,
     Triangle,
-    clip_polygon_halfplane,
     edge_form,
     homogeneous,
     orientation,
     point_in_polygon,
-    segment_intersection,
 )
 from .motions import Motion
 
@@ -71,21 +71,18 @@ class ValidationReport:
         return f"ValidationReport({status}, {len(self.checks)} checks)"
 
 
-def _bbox(points):
-    xs = [p.x for p in points]
-    ys = [p.y for p in points]
-    return min(xs), max(xs), min(ys), max(ys)
+# The face index of the region outside the domain.
+OUTSIDE = -1
 
 
 class PLMap:
     """A triangulated convex domain with a motion attached to each cell.
 
     triangles holds (i, j, k, m) index rows into vertices and motions.
-    The cells' bounding boxes and edge forms are built on first use and
-    kept.
+    The cells' edge forms are built on first use and kept.
     """
 
-    __slots__ = ("domain", "vertices", "triangles", "motions", "_boxes", "_forms")
+    __slots__ = ("domain", "vertices", "triangles", "motions", "_forms")
 
     def __init__(self, domain: ConvexPolygon, vertices, triangles, motions):
         self.domain = domain
@@ -102,7 +99,6 @@ class PLMap:
                 raise IndexOutOfRange(f"vertex index out of range in {row}")
             if not 0 <= m < nm:
                 raise IndexOutOfRange(f"motion index out of range in {row}")
-        self._boxes = None
         self._forms = None
 
     @classmethod
@@ -112,7 +108,6 @@ class PLMap:
         m.vertices = tuple(vertices)
         m.triangles = tuple(tuple(row) for row in triangles)
         m.motions = tuple(motions)
-        m._boxes = None
         m._forms = None
         return m
 
@@ -129,14 +124,6 @@ class PLMap:
         if not 0 <= index < len(self.triangles):
             raise IndexOutOfRange(f"no triangle {index}")
         return self.motions[self.triangles[index][3]]
-
-    def _bboxes(self):
-        if self._boxes is None:
-            self._boxes = [
-                _bbox([self.vertices[i], self.vertices[j], self.vertices[k]])
-                for i, j, k, _ in self.triangles
-            ]
-        return self._boxes
 
     def _cell_forms(self):
         if self._forms is None:
@@ -166,14 +153,15 @@ class PLMap:
         checks = []
         checks.append(self._check_cells())
         if checks[-1][1]:
+            pieces, cuts = self._edge_lines()
             checks.append(self._check_area())
-            checks.append(self._check_overlaps())
+            checks.append(self._check_faces(pieces, checks[-1][1]))
         else:
             checks.append(("area-sum", False, "skipped: broken cells"))
             checks.append(("intersection-dimension", False, "skipped: broken cells"))
         checks.append(self._check_motions())
         if checks[0][1] and checks[-1][1]:
-            checks.append(self._check_edge_agreement())
+            checks.append(self._check_cut_images(cuts))
         else:
             checks.append(("edge-agreement", False, "skipped: broken cells or motions"))
         return ValidationReport(checks)
@@ -200,9 +188,9 @@ class PLMap:
     def _check_area(self):
         """Cells inside the domain whose areas sum to the domain's area.
 
-        Together with disjoint interiors (the next check) this proves the
-        cells tile the domain exactly: a cell outside it could otherwise
-        make up the area of a hole.
+        Together with one face on each side of every edge piece (the next
+        check) this proves the cells tile the domain exactly: a cell
+        outside it could otherwise make up the area of a hole.
         """
         total = None
         for t in range(len(self.triangles)):
@@ -218,34 +206,76 @@ class PLMap:
             return ("area-sum", True, "cells lie in the domain and tile its area exactly")
         return ("area-sum", False, "triangle areas do not sum to the domain area")
 
-    def _triangle_poly(self, t: int) -> ConvexPolygon:
-        i, j, k, _ = self.triangles[t]
-        return ConvexPolygon([self.vertices[i], self.vertices[j], self.vertices[k]])
+    def _edge_lines(self):
+        """Faces beside every piece of every edge line, and cells at its cuts.
 
-    def _check_overlaps(self):
-        boxes = self._bboxes()
-        n = len(self.triangles)
-        for s in range(n):
-            ps = self._triangle_poly(s)
-            for t in range(s + 1, n):
-                bs, bt = boxes[s], boxes[t]
-                if bs[1] < bt[0] or bt[1] < bs[0] or bs[3] < bt[2] or bt[3] < bs[2]:
-                    continue
-                region = ps
-                for edge in self._triangle_poly(t).edges():
-                    # Interior of a ccw polygon is the +1 side of this form.
-                    line_a = edge.p.y - edge.q.y
-                    line_b = edge.q.x - edge.p.x
-                    ln = Line(line_a, line_b, line_a * edge.p.x + line_b * edge.p.y)
-                    region = clip_polygon_halfplane(region, ln, 1)
-                    if not isinstance(region, ConvexPolygon):
-                        break
-                if isinstance(region, ConvexPolygon):
+        Every cell edge is walked counterclockwise with the cell as its
+        face, and every domain edge reversed with OUTSIDE as its face,
+        so each face lies on the positive side of its edge's form.  The
+        line's key is that form divided by a, or by b when a == 0; the
+        divisor's sign says which side of the key the face is on.  Each
+        line is cut at every endpoint of its edges, by position y, or x
+        on a horizontal line.  Returns (pieces, cuts): for each piece,
+        the faces on the key's positive and on its negative side, cells
+        before OUTSIDE; for each cut point on two or more cell edges,
+        the point and those cells in index order.
+        """
+        vs = self.vertices
+        walk = []
+        for t, ((i, j, k, _), forms) in enumerate(zip(self.triangles, self._cell_forms())):
+            walk += zip((vs[i], vs[j], vs[k]), (vs[j], vs[k], vs[i]), forms, (t, t, t))
+        dom = self.domain.vertices
+        walk += ((v, u, edge_form(v, u), OUTSIDE) for u, v in zip(dom, dom[1:] + dom[:1]))
+        edges = []
+        for u, v, (a, b, c), face in walk:
+            if sign(a) != 0:
+                key, side, pu, pv = (1, number(b) / a, number(c) / a), sign(a), u.y, v.y
+            else:
+                key, side, pu, pv = (0, 1, number(c) / b), sign(b), u.x, v.x
+            edges.append((key, side, ((pu, u), (pv, v)), face))
+        edges.sort(key=itemgetter(0))
+        pieces = []
+        cuts = []
+        for _, line in groupby(edges, key=itemgetter(0)):
+            line = list(line)
+            ends = sorted((end for _, _, ends, _ in line for end in ends), key=itemgetter(0))
+            points = [next(same) for _, same in groupby(ends, key=itemgetter(0))]
+            at = [position for position, _ in points]
+            sides = [([], []) for _ in range(len(points) - 1)]
+            cells = [[] for _ in points]
+            for _, side, ((p, _), (q, _)), face in line:
+                lo, hi = sorted((bisect_left(at, p), bisect_left(at, q)))
+                for piece in sides[lo:hi]:
+                    piece[side < 0].append(face)
+                if face != OUTSIDE:
+                    for cut in cells[lo:hi + 1]:
+                        cut.append(face)
+            pieces += sides
+            cuts += [(p, c) for (_, p), c in zip(points, cells) if len(c) > 1]
+        return pieces, cuts
+
+    def _check_faces(self, pieces, area_ok):
+        """At most one cell, and with exact areas one face, on each side.
+
+        With one face on each side of every piece, crossing an edge never
+        changes how many faces cover a point; that count is 1 far
+        outside the domain, so the cells tile it exactly.  A bare side
+        with exact areas means an overlap elsewhere; without them,
+        area-sum has failed already.  With exact areas every vertex lies
+        in the domain, so no cell shares a side with OUTSIDE.
+        """
+        for sides in pieces:
+            for faces in sides:
+                if len(faces) > 1 and faces[1] != OUTSIDE:
                     return (
                         "intersection-dimension",
                         False,
-                        f"triangles {s} and {t} overlap with interior",
+                        f"triangles {faces[0]} and {faces[1]} overlap with interior",
                     )
+                if area_ok and not faces and any(sides):
+                    t = (sides[0] or sides[1])[0]
+                    where = "a domain edge" if t == OUTSIDE else f"an edge of triangle {t}"
+                    return ("intersection-dimension", False, f"{where} has no cell across it")
         return ("intersection-dimension", True, "pairwise interiors are disjoint")
 
     def _check_motions(self):
@@ -254,35 +284,25 @@ class PLMap:
                 return ("motion-orthogonality", False, f"motion {i} is not orthogonal")
         return ("motion-orthogonality", True, f"{len(self.motions)} motions")
 
-    def _check_edge_agreement(self):
-        boxes = self._bboxes()
-        n = len(self.triangles)
-        cells = [self._triangle_poly(t) for t in range(n)]
-        for s in range(n):
-            ms = self.motions[self.triangles[s][3]]
-            for t in range(s + 1, n):
-                bs, bt = boxes[s], boxes[t]
-                if bs[1] < bt[0] or bt[1] < bs[0] or bs[3] < bt[2] or bt[3] < bs[2]:
-                    continue
-                mt = self.motions[self.triangles[t][3]]
-                if ms is mt:
-                    continue
-                for es in cells[s].edges():
-                    for et in cells[t].edges():
-                        shared = segment_intersection(es, et)
-                        if shared is None:
-                            continue
-                        if isinstance(shared, Segment):
-                            probes = (shared.p, shared.q)
-                        else:
-                            probes = (shared,)
-                        for p in probes:
-                            if ms.apply(p) != mt.apply(p):
-                                return (
-                                    "edge-agreement",
-                                    False,
-                                    f"triangles {s} and {t} disagree on a shared point",
-                                )
+    def _check_cut_images(self, cuts):
+        """Cells whose edges on a line contain a cut point agree there.
+
+        Affine motions agreeing at both ends of a shared piece agree
+        along it, and around a vertex neighbouring cells share such
+        pieces, so the map is continuous.
+        """
+        rows, motions = self.triangles, self.motions
+        for p, cells in cuts:
+            first = rows[cells[0]][3]
+            image = motions[first].apply(p)
+            for t in cells[1:]:
+                m = rows[t][3]
+                if m != first and motions[m].apply(p) != image:
+                    return (
+                        "edge-agreement",
+                        False,
+                        f"triangles {cells[0]} and {t} disagree on a shared point",
+                    )
         return ("edge-agreement", True, "adjacent cells agree on shared boundaries")
 
     def __eq__(self, other):

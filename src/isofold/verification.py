@@ -9,18 +9,16 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
-from .exactreal import GT, approximate, compare, decimal_string, number
+from .exactreal import GT, compare, decimal_string, number
 from .extension import Instance, Violation
-from .geometry import Location, Point, point_in_polygon, squared_distance
+from .geometry import Point, Triangle, squared_distance
 from .plmap import OutsideDomain, PLMap
 
 __all__ = [
-    "ExactMode",
-    "ApproximateMode",
     "AuditConfig",
     "AuditReport",
     "audit_interpolation",
@@ -30,33 +28,18 @@ __all__ = [
 ]
 
 DENOMINATOR_BITS = 16
+# A fan triangle is chosen by comparing a random fraction on this grid
+# against the domain's cumulative area.
+CHOICE_BITS = 32
 # A failed sampled check reports its first few failing samples only; the
 # verdict needs one, and a broken map can fail nearly every sample.
 MAX_WITNESSES = 10
 
 
 @dataclass(frozen=True)
-class ExactMode:
-    """Compare squared distances exactly."""
-
-
-@dataclass(frozen=True)
-class ApproximateMode:
-    """Allow an additive slack on approximated squared distances."""
-
-    tolerance: Fraction
-
-    def __post_init__(self):
-        object.__setattr__(self, "tolerance", Fraction(self.tolerance))
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
-
-
-@dataclass(frozen=True)
 class AuditConfig:
     sample_count: int = 1000
     rng_seed: int = 0
-    mode: Union[ExactMode, ApproximateMode] = field(default_factory=ExactMode)
 
     def __post_init__(self):
         if self.sample_count < 1:
@@ -130,48 +113,53 @@ def audit_interpolation(f: PLMap, inst: Instance) -> AuditReport:
     return AuditReport(checks)
 
 
-def _sample_point(rng: random.Random, bounds, domain) -> Point:
-    xmin, xmax, ymin, ymax = bounds
+def _fan(domain):
+    """The domain's fan triangles a, b, c from its first vertex, as
+    (cumulative area2, a, b - a, c - a) with exact coordinate pairs."""
+    vs = domain.vertices
+    a = vs[0]
+    fan = []
+    total = 0
+    for b, c in zip(vs[1:-1], vs[2:]):
+        total = total + Triangle(a, b, c).area2()
+        fan.append((total, (a.x, a.y), (b.x - a.x, b.y - a.y), (c.x - a.x, c.y - a.y)))
+    return fan
+
+
+def _sample_point(rng: random.Random, fan) -> Point:
+    """A point of the domain with fan triangles fan, drawn without rejection.
+
+    A fan triangle is picked with probability proportional to its area,
+    then the point a + u(b - a) + v(c - a) with u and v on the 2^-16
+    grid, folded to (1 - u, 1 - v) when u + v > 1.
+    """
+    r = Fraction(rng.getrandbits(CHOICE_BITS), 1 << CHOICE_BITS) * fan[-1][0]
+    _, (ax, ay), (bx, by), (cx, cy) = next(piece for piece in fan if r < piece[0])
     scale = 1 << DENOMINATOR_BITS
-    xlo, xhi = -(-xmin.numerator * scale // xmin.denominator), xmax.numerator * scale // xmax.denominator
-    ylo, yhi = -(-ymin.numerator * scale // ymin.denominator), ymax.numerator * scale // ymax.denominator
-    while True:
-        p = Point(
-            Fraction(rng.randint(xlo, xhi), scale),
-            Fraction(rng.randint(ylo, yhi), scale),
-        )
-        if point_in_polygon(p, domain) is not Location.OUTSIDE:
-            return p
-
-
-def _domain_bounds(f: PLMap):
-    eps = Fraction(1, 1 << 40)
-    xs = []
-    ys = []
-    for v in f.domain.vertices:
-        xs.append(approximate(v.x, eps))
-        ys.append(approximate(v.y, eps))
-    return min(xs), max(xs), min(ys), max(ys)
+    u = rng.randint(0, scale)
+    v = rng.randint(0, scale)
+    if u + v > scale:
+        u, v = scale - u, scale - v
+    u = Fraction(u, scale)
+    v = Fraction(v, scale)
+    return Point(ax + u * bx + v * cx, ay + u * by + v * cy)
 
 
 def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
     """Sampled pairwise non-expansiveness over the domain.
 
-    Points are drawn on the 2^-16 rational grid by rejection inside the
-    domain, so every comparison stays exact in Exact mode.  Sampling
-    stops at the MAX_WITNESSES-th failing sample.
+    Points are drawn inside the domain from its fan triangles, so every
+    comparison stays exact.  Sampling stops at the MAX_WITNESSES-th
+    failing sample.
     """
     rng = random.Random(cfg.rng_seed)
-    bounds = _domain_bounds(f)
-    tolerance = (
-        cfg.mode.tolerance if isinstance(cfg.mode, ApproximateMode) else None
-    )
+    fan = _fan(f.domain)
     violations = []
     for k in range(cfg.sample_count):
         if len(violations) == MAX_WITNESSES:
             break
-        p = _sample_point(rng, bounds, f.domain)
-        q = _sample_point(rng, bounds, f.domain)
+        p = _sample_point(rng, fan)
+        q = _sample_point(rng, fan)
         gap2 = squared_distance(p, q)
         try:
             image_gap2 = squared_distance(f.evaluate(p), f.evaluate(q))
@@ -183,11 +171,7 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
                 "error": "outside domain",
             })
             continue
-        if tolerance is None:
-            bad = compare(image_gap2, gap2) == GT
-        else:
-            bad = float(image_gap2) > float(gap2) + float(tolerance)
-        if bad:
+        if compare(image_gap2, gap2) == GT:
             violations.append({
                 "sample": k,
                 "p": _fmt_point(p),
@@ -195,9 +179,7 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
                 "gap_squared": _fmt(gap2),
                 "image_gap_squared": _fmt(image_gap2),
             })
-    witness = violations if violations else None
-    name = "lipschitz_exact" if tolerance is None else "lipschitz_approximate"
-    return AuditReport([(name, not violations, witness)])
+    return AuditReport([("lipschitz_exact", not violations, violations or None)])
 
 
 def audit_structure(f: PLMap) -> AuditReport:

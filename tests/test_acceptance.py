@@ -36,7 +36,7 @@ from isofold.geometry import (
 from isofold.motions import reflection_across_line
 from isofold.verification import (
     AuditConfig,
-    _domain_bounds,
+    _fan,
     _sample_point,
     audit_interpolation,
     audit_lipschitz,
@@ -174,9 +174,9 @@ def test_criterion_5():
         steps = induction_steps(instance)
         while pairs_checked < 100:
             for g, a_n, b_n in steps:
-                bounds = _domain_bounds(g)
+                fan = _fan(g.domain)
                 for _ in range(40):
-                    x = _sample_point(rng, bounds, g.domain)
+                    x = _sample_point(rng, fan)
                     if sign(omega_excess(g, a_n, b_n, x)) != 1:
                         continue
                     t = Fraction(rng.randint(1, 8), 8)

@@ -76,12 +76,21 @@ class TestExtend:
         ]) == 0
         assert "audits" not in json.loads(out.read_text())
 
-    def test_approx_mode(self, golden_path, tmp_path):
-        out = tmp_path / "map.json"
-        assert main([
-            "extend", "--input", str(golden_path),
-            "--output", str(out), "--verify", "approx", "--samples", "30",
-        ]) == 0
+    @pytest.mark.parametrize("points", [
+        # A sliver whose bounding box is 10^7 times its area.
+        [(0, "1/10000000"), (1, "10000001/10000000"), (1, "10000002/10000000")],
+        # A triangle narrower than the sampling grid's spacing.
+        [("1/1000000", "1/1000000"), ("2/1000000", "1/1000000"),
+         ("1/1000000", "2/1000000")],
+    ])
+    def test_sampling_thin_or_tiny_domain(self, tmp_path, points):
+        path = write_instance(tmp_path, "i.json", [(x, y, x, y) for x, y in points])
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "extend", "--input", str(path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["audits"]["all_passed"] is True
 
     def test_deterministic_outputs(self, golden_path, tmp_path):
         pairs = []

@@ -78,12 +78,10 @@ def test_representation_lives_in_exactreal():
     assert mentions == []
 
 
-# Where a Fraction's integer parts may be read: the number layer, the
-# homogeneous coordinates behind geometry's integer edge forms, and the
-# sampler's grid bounds.
+# Where a Fraction's integer parts may be read: the number layer and the
+# homogeneous coordinates behind geometry's integer edge forms.
 INTEGER_READERS = {
     "geometry.py": {"homogeneous"},
-    "verification.py": {"_sample_point"},
 }
 
 

@@ -198,6 +198,39 @@ class TestValidate:
         assert [n for n, ok, _ in rep.checks if not ok] == ["area-sum"]
         assert "outside the domain" in dict(rep.failures())["area-sum"]
 
+    def test_crossing_overlap_with_exact_areas(self):
+        # Two crossing halves of the square: areas sum exactly and every
+        # vertex lies in the domain, yet a strip along the top is bare.
+        dom = ConvexPolygon([P(0, 0), P(4, 0), P(4, 4), P(0, 4)])
+        m = PLMap(
+            dom,
+            [P(0, 0), P(4, 0), P(0, 4), P(4, 4), P(0, 3)],
+            [(0, 1, 2, 0), (3, 4, 1, 0)],
+            [Motion.identity()],
+        )
+        rep = m.validate()
+        assert [n for n, ok, _ in rep.checks if not ok] == ["intersection-dimension"]
+
+    @staticmethod
+    def t_junction_map(last: Motion) -> PLMap:
+        # (2, 2) is a vertex of the two upper-left cells and lies inside
+        # the diagonal edge of the lower-right one.
+        dom = ConvexPolygon([P(0, 0), P(4, 0), P(4, 4), P(0, 4)])
+        ident = Motion.identity()
+        return assemble(dom, [
+            (Triangle(P(0, 0), P(4, 0), P(4, 4)), ident),
+            (Triangle(P(0, 0), P(2, 2), P(0, 4)), ident),
+            (Triangle(P(2, 2), P(4, 4), P(0, 4)), last),
+        ])
+
+    def test_t_junction_tiling_passes(self):
+        rep = self.t_junction_map(Motion.identity()).validate()
+        assert rep.all_passed, rep.failures()
+
+    def test_t_junction_disagreement(self):
+        rep = self.t_junction_map(Motion.translation(1, 0)).validate()
+        assert [n for n, ok, _ in rep.checks if not ok] == ["edge-agreement"]
+
     def test_report_dict(self):
         rep = square_map().validate()
         d = rep.as_dict()

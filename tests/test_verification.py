@@ -14,9 +14,7 @@ from isofold.geometry import ConvexPolygon, Point, Triangle
 from isofold.motions import Motion
 from isofold.plmap import PLMap, assemble
 from isofold.verification import (
-    ApproximateMode,
     AuditConfig,
-    ExactMode,
     audit_interpolation,
     audit_lipschitz,
     audit_structure,
@@ -52,20 +50,10 @@ class TestConfig:
         cfg = AuditConfig()
         assert cfg.sample_count == 1000
         assert cfg.rng_seed == 0
-        assert isinstance(cfg.mode, ExactMode)
 
     def test_sample_count_positive(self):
         with pytest.raises(ValueError):
             AuditConfig(sample_count=0)
-
-    def test_tolerance_positive(self):
-        with pytest.raises(ValueError):
-            ApproximateMode(0)
-        with pytest.raises(ValueError):
-            ApproximateMode(Fraction(-1, 2))
-
-    def test_tolerance_coerced(self):
-        assert ApproximateMode("1/100").tolerance == Fraction(1, 100)
 
 
 class TestInterpolation:
@@ -123,17 +111,6 @@ class TestLipschitz:
         qy = Fraction(first["q"]["y"])
         assert 4 * ((px - qx) ** 2 + (py - qy) ** 2) > (px - qx) ** 2 + (py - qy) ** 2
 
-    def test_approximate_mode_tolerance(self):
-        f = doubled_map()
-        loose = AuditConfig(sample_count=25, rng_seed=1, mode=ApproximateMode(1000))
-        tight = AuditConfig(
-            sample_count=25, rng_seed=1, mode=ApproximateMode("1/1000000")
-        )
-        assert audit_lipschitz(f, loose).all_passed
-        report = audit_lipschitz(f, tight)
-        assert not report.all_passed
-        assert report.checks[0][0] == "lipschitz_approximate"
-
     def test_deterministic_serialization(self, golden_map):
         cfg = AuditConfig(sample_count=40, rng_seed=9)
         a = audit_lipschitz(golden_map, cfg).to_json()
@@ -143,11 +120,11 @@ class TestLipschitz:
     def test_seed_changes_samples(self, golden_map):
         # Different seeds draw different points; both still pass, so
         # compare the drawn points via the internal sampler.
-        from isofold.verification import _domain_bounds, _sample_point
+        from isofold.verification import _fan, _sample_point
 
-        bounds = _domain_bounds(golden_map)
-        p1 = _sample_point(random.Random(1), bounds, golden_map.domain)
-        p2 = _sample_point(random.Random(2), bounds, golden_map.domain)
+        fan = _fan(golden_map.domain)
+        p1 = _sample_point(random.Random(1), fan)
+        p2 = _sample_point(random.Random(2), fan)
         assert p1 != p2
 
 
