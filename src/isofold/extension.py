@@ -192,52 +192,57 @@ class RefitRegion:
 
     pieces: (triangle index, clipped polygon) for every cell whose
     intersection with the region is two-dimensional.
+    outside: (triangle index, part) for every cell with area outside the
+    region, in index order: the cell's own Triangle when the region
+    misses it, else the clipped ConvexPolygon.
     boundary_segments: the bisector chords, oriented so the new source
     sees them counterclockwise.
     hull_contacts: piece edges lying on the domain boundary.
     """
 
-    __slots__ = ("pieces", "boundary_segments", "hull_contacts")
+    __slots__ = ("pieces", "outside", "boundary_segments", "hull_contacts")
 
-    def __init__(self, pieces, boundary_segments, hull_contacts):
+    def __init__(self, pieces, outside, boundary_segments, hull_contacts):
         self.pieces = tuple(pieces)
+        self.outside = tuple(outside)
         self.boundary_segments = tuple(boundary_segments)
         self.hull_contacts = tuple(hull_contacts)
 
     def __repr__(self):
         return (
             f"RefitRegion({len(self.pieces)} pieces, "
+            f"{len(self.outside)} outside parts, "
             f"{len(self.boundary_segments)} chords, "
             f"{len(self.hull_contacts)} hull contacts)"
         )
 
 
-def _cell_cut(g: PLMap, t: int, a_n: Point, b_n: Point):
-    """Bisector line and source side for cell t, or None when the cell
-    cannot meet the region (pullback center on the source itself)."""
-    c = pullback_center(g.restrict_motion(t), b_n)
-    if c == a_n:
-        return None
-    line = perpendicular_bisector(a_n, c)
-    return line, line.side(a_n)
-
-
 def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
+    """Split each cell once along its motion's cut (one bisector per motion)."""
     if g.evaluate(a_n) == b_n:
         raise TargetAlreadyMatched("the map already interpolates this pair")
+    cuts = []
+    for motion in g.motions:
+        c = pullback_center(motion, b_n)
+        line = None if c == a_n else perpendicular_bisector(a_n, c)
+        cuts.append(None if line is None else (line, line.side(a_n)))
     hull = g.domain
     pieces = []
+    outside = []
     chords = []
     contacts = []
-    for t in range(len(g)):
-        cut = _cell_cut(g, t, a_n, b_n)
-        if cut is None:
+    for t, row in enumerate(g.triangles):
+        cell = g.cell(t)
+        cut = cuts[row[3]]
+        piece = None if cut is None else clip_polygon_halfplane(cell, *cut)
+        if not isinstance(piece, ConvexPolygon):
+            outside.append((t, cell))
             continue
         line, keep = cut
-        piece = clip_polygon_halfplane(_cell_poly(g, t), line, keep)
-        if not isinstance(piece, ConvexPolygon):
-            continue
         pieces.append((t, piece))
+        rest = clip_polygon_halfplane(cell, line, -keep)
+        if isinstance(rest, ConvexPolygon):
+            outside.append((t, rest))
         vs = piece.vertices
         on_cut = [v for v in vs if line.side(v) == 0]
         _require(len(on_cut) <= 2, "cut line meets a convex piece in >2 vertices")
@@ -253,12 +258,7 @@ def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
                 continue
             if _hull_edge_of(hull, x, y) is not None:
                 contacts.append(Segment(x, y))
-    return RefitRegion(pieces, chords, contacts)
-
-
-def _cell_poly(g: PLMap, t: int) -> ConvexPolygon:
-    c = g.cell(t)
-    return ConvexPolygon([c.v0, c.v1, c.v2])
+    return RefitRegion(pieces, outside, chords, contacts)
 
 
 def _hull_edge_of(hull: ConvexPolygon, x: Point, y: Point):
@@ -494,25 +494,22 @@ def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
 def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
     """One induction step; returns the new map and its StepTrace."""
     trace = StepTrace()
-    if g.evaluate(a_n) == b_n:
+    try:
+        region = refit_region(g, a_n, b_n)
+    except TargetAlreadyMatched:
         trace.early_exit = True
         return g, trace
 
-    region = refit_region(g, a_n, b_n)
-    covered = {t: piece for t, piece in region.pieces}
     pieces = []
-    for t in range(len(g)):
+    for t, part in region.outside:
         motion = g.restrict_motion(t)
-        if t not in covered:
+        if isinstance(part, Triangle):
             trace.empty_cells += 1
-            pieces.append((g.cell(t), motion))
+            pieces.append((part, motion))
             continue
-        line, keep = _cell_cut(g, t, a_n, b_n)
-        rest = clip_polygon_halfplane(_cell_poly(g, t), line, -keep)
-        if isinstance(rest, ConvexPolygon):
-            for tri in triangulate_fan(rest, rest.vertices[0]):
-                trace.complement_pieces += 1
-                pieces.append((tri, motion))
+        for tri in triangulate_fan(part, part.vertices[0]):
+            trace.complement_pieces += 1
+            pieces.append((tri, motion))
 
     fans = fan_extension(a_n, b_n, region, g)
     trace.chords = len(fans)

@@ -374,9 +374,10 @@ def convex_hull(points):
 def clip_polygon_halfplane(poly: ConvexPolygon, line: Line, keep_side: int):
     """Intersection of poly with the closed half-plane side(x) == keep_side.
 
-    Returns a ConvexPolygon when the intersection has interior, EMPTY
-    when nothing of poly lies on the closed side, and LowerDimensional
-    when the intersection is a single point or segment.
+    poly may be any strictly convex CCW vertex sequence with .vertices,
+    such as a Triangle.  Returns a ConvexPolygon when the intersection
+    has interior, EMPTY when nothing of poly lies on the closed side,
+    and LowerDimensional when it is a single point or segment.
     """
     if keep_side not in (-1, 1):
         raise ValueError("keep_side must be +1 or -1")

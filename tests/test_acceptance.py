@@ -30,6 +30,7 @@ from isofold.geometry import (
     ConvexPolygon,
     Line,
     Point,
+    Triangle,
     convex_hull,
     squared_distance,
 )
@@ -208,6 +209,26 @@ def test_criterion_6():
                     )
                     assert f.evaluate(x) == g.evaluate(x)
     assert chords_seen > 0
+
+
+def test_refit_split_covers_every_cell():
+    # Each cell is split once: its inside piece and outside part add up
+    # to the cell, an untouched cell is passed on whole, in index order.
+    for instance in CANONICAL:
+        for g, a_n, b_n in induction_steps(instance):
+            region = refit_region(g, a_n, b_n)
+            inside = dict(region.pieces)
+            outside = dict(region.outside)
+            order = [t for t, _ in region.outside]
+            assert order == sorted(outside)
+            assert set(inside) | set(outside) == set(range(len(g)))
+            for t in range(len(g)):
+                cell = g.cell(t)
+                if t not in inside:
+                    assert isinstance(outside[t], Triangle) and outside[t] == cell
+                    continue
+                rest = outside[t].area2() if t in outside else 0
+                assert inside[t].area2() + rest == cell.area2()
 
 
 def test_criterion_7():

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -218,6 +219,37 @@ class TestVerify:
             "verify", "--map", path, "--instance", str(golden_path),
         ]) == 1
         assert stderr_json(capsys)["error"] == "parse"
+
+    def test_too_many_square_roots_exit_1(self, golden_path, tmp_path):
+        # One vertex coordinate is two separately written 11-term sums of
+        # square roots, subtracted: exactly 0, but with 22 sqrt nodes a
+        # zero test refines to a separation bound of degree 2**22.
+        path = self.make_map(golden_path, tmp_path)
+        nodes = []
+        sums = []
+        for _ in range(2):
+            total = None
+            for r in (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17):
+                nodes += [str(r), {"op": "sqrt", "args": [len(nodes)]}]
+                if total is not None:
+                    nodes.append({"op": "add", "args": [total, len(nodes) - 1]})
+                total = len(nodes) - 1
+            sums.append(total)
+        nodes.append({"op": "sub", "args": sums})
+        doc = json.loads((tmp_path / "map.json").read_text())
+        doc["map"]["vertices"][0][0] = {"nodes": nodes}
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "verify", "--map", path,
+             "--instance", str(golden_path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert time.monotonic() - started < 1
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse"
 
     def test_tiling_hole_exit_4_without_traceback(self, tmp_path, capsys):
         # Cell areas sum to the domain's, but one cell lies outside it and

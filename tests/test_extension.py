@@ -18,6 +18,7 @@ from isofold.geometry import (
     Segment,
     Triangle,
     orientation,
+    perpendicular_bisector,
     squared_distance,
 )
 from isofold.motions import Motion, reflection_across_line
@@ -219,6 +220,26 @@ class TestRefitRegion:
             lhs = squared_distance(src, c)
             rhs = squared_distance(dst, g.restrict_motion(t).apply(c))
             assert sign(rhs - lhs) == 1
+
+    def test_one_cut_per_motion(self, monkeypatch):
+        # Cells sharing a motion share its bisector, so a refit builds
+        # at most one per motion however many cells carry it.
+        g = extend_all(inst(
+            [(0, 0), (8, 0), (4, 2), (0, 6)], [(0, 0), (4, 0), (2, 1), (0, 6)]
+        ))
+        assert len(g) > len(g.motions)
+        calls = []
+
+        def counted(p, q):
+            calls.append((p, q))
+            return perpendicular_bisector(p, q)
+
+        monkeypatch.setattr("isofold.extension.perpendicular_bisector", counted)
+        src = P(2, 1)
+        image = g.evaluate(src)
+        region = refit_region(g, src, P(image.x + Fraction(1, 4), image.y))
+        assert region.pieces
+        assert 0 < len(calls) <= len(g.motions)
 
 
 class TestFanExtension:
