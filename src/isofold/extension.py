@@ -5,8 +5,10 @@ Given finitely many rational point pairs (a_i, b_i) with
 on the convex hull of the a_i with f(a_i) = b_i, assembled from exact
 planar motions.  Points are added one at a time: each step carves out
 the refit region (where the current map is too far from the new target),
-refans it from the new source point, and covers the region's contact
-with the hull boundary by rigid pieces, folded once where needed.
+refans it from the new source point, covers the region's contact
+with the hull boundary by rigid pieces, folded once where needed, and
+merges the cells of each motion it touched into one fan wherever
+their union is convex.
 
 All branch decisions are exact.  With rational input the whole pipeline
 stays rational: motions come from two-point solves over squared
@@ -29,6 +31,7 @@ from .geometry import (
     Triangle,
     clip_polygon_halfplane,
     convex_hull,
+    homogeneous,
     orientation,
     perpendicular_bisector,
     point_in_polygon,
@@ -37,7 +40,7 @@ from .geometry import (
     Location,
 )
 from .motions import Motion, compose, from_three_points, from_two_pairs, line_preimage, reflection_across_line
-from .plmap import PLMap, assemble
+from .plmap import PLMap, assemble, motion_ids
 
 __all__ = [
     "Instance",
@@ -265,13 +268,13 @@ def _hull_edge_of(hull: ConvexPolygon, x: Point, y: Point):
     """Index of the hull edge whose line carries both points, else None.
 
     Strict convexity makes collinearity with the edge line sufficient
-    for lying on the edge itself.
+    for lying on the edge itself.  Both points are tested against the
+    hull's cached edge forms.
     """
-    vs = hull.vertices
-    n = len(vs)
-    for k in range(n):
-        h1, h2 = vs[k], vs[(k + 1) % n]
-        if orientation(h1, h2, x) == 0 and orientation(h1, h2, y) == 0:
+    xx, xy, xw = homogeneous(x)
+    yx, yy, yw = homogeneous(y)
+    for k, (a, b, c) in enumerate(hull.edge_forms()):
+        if sign(a * xx + b * xy - c * xw) == 0 and sign(a * yx + b * yy - c * yw) == 0:
             return k
     return None
 
@@ -422,6 +425,8 @@ class StepTrace:
     folded_chains: int = 0
     cone_triangles: int = 0
     split_cone_triangles: int = 0
+    merged_groups: int = 0
+    kept_groups: int = 0
 
 
 @dataclass
@@ -491,6 +496,47 @@ def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
     return out
 
 
+def _merge_touched(pieces, cut_motions, first_new, trace):
+    """Replace each touched motion group by the fan of its hull.
+
+    A group is the pieces sharing one motion, as ``assemble`` dedups
+    them.  It is touched when its motion is one of cut_motions (the
+    motions of the cells the region cut) or carries a piece from
+    first_new on (the fans and cones).  Untouched groups were merged on
+    the step that last touched them.  The pieces tile the domain, so a
+    group whose hull has exactly their summed area has that hull as its
+    union, and becomes the hull's fan from its first vertex.  A group
+    failing the check, one motion on disjoint regions, keeps its pieces.
+    """
+    ids, _ = motion_ids([m for _, m in pieces] + cut_motions)
+    touched = set(ids[first_new:])
+    groups: dict = {}
+    for i, k in enumerate(ids[:len(pieces)]):
+        if k in touched:
+            groups.setdefault(k, []).append(i)
+    fans = {}
+    dropped = set()
+    for members in groups.values():
+        if len(members) < 2:
+            continue
+        tris = [pieces[i][0] for i in members]
+        hull = convex_hull([v for tri in tris for v in tri.vertices])
+        if not equals(hull.area2(), sum(tri.area2() for tri in tris)):
+            trace.kept_groups += 1
+            continue
+        trace.merged_groups += 1
+        motion = pieces[members[0]][1]
+        fans[members[0]] = [(tri, motion) for tri in triangulate_fan(hull, hull.vertices[0])]
+        dropped.update(members[1:])
+    out = []
+    for i, piece in enumerate(pieces):
+        if i in fans:
+            out += fans[i]
+        elif i not in dropped:
+            out.append(piece)
+    return out
+
+
 def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
     """One induction step; returns the new map and its StepTrace."""
     trace = StepTrace()
@@ -510,6 +556,7 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
         for tri in triangulate_fan(part, part.vertices[0]):
             trace.complement_pieces += 1
             pieces.append((tri, motion))
+    first_new = len(pieces)
 
     fans = fan_extension(a_n, b_n, region, g)
     trace.chords = len(fans)
@@ -534,16 +581,17 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
         trace.split_cone_triangles += splits
         pieces.extend(cone)
 
-    out = assemble(g.domain, pieces)
+    cut_motions = [g.restrict_motion(t) for t, _ in region.pieces]
+    pieces = _merge_touched(pieces, cut_motions, first_new, trace)
     total = None
-    for t in range(len(out)):
-        a2 = out.cell(t).area2()
+    for tri, _ in pieces:
+        a2 = tri.area2()
         total = a2 if total is None else total + a2
     _require(
         total is not None and equals(total, g.domain.area2()),
         "step output does not tile the domain",
     )
-    return out, trace
+    return assemble(g.domain, pieces), trace
 
 
 def extend_step(g: PLMap, a_n: Point, b_n: Point) -> PLMap:

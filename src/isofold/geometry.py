@@ -265,10 +265,11 @@ class ConvexPolygon:
         return self._forms
 
     def area2(self):
+        """Twice the area, as the shoelace sum over the edges."""
         vs = self.vertices
         total = Fraction(0)
-        for i in range(1, len(vs) - 1):
-            total = total + Triangle(vs[0], vs[i], vs[i + 1]).area2()
+        for p, q in zip(vs, vs[1:] + vs[:1]):
+            total = total + (p.x * q.y - p.y * q.x)
         return total
 
     def __eq__(self, other):

@@ -9,6 +9,7 @@ than an exception mid-parse.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
@@ -31,6 +32,7 @@ __all__ = [
     "IndexOutOfRange",
     "ValidationReport",
     "assemble",
+    "motion_ids",
 ]
 
 
@@ -329,22 +331,50 @@ class PLMap:
         )
 
 
+def motion_ids(motions):
+    """Index of each motion among the distinct ones, and those motions.
+
+    Rational motions share an index through a dictionary keyed by the
+    integer pairs of their Fraction entries, which hash far faster than
+    the Fractions; irrational ones fall back to an exact linear scan.
+    """
+    ids = []
+    distinct: list[Motion] = []
+    rational: dict = {}
+    for m in motions:
+        if m.is_rational():
+            key = tuple(map(Fraction.as_integer_ratio, (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)))
+            got = rational.get(key)
+            if got is None:
+                rational[key] = got = len(distinct)
+                distinct.append(m)
+        else:
+            got = next(
+                (i for i, known in enumerate(distinct) if known is m or known == m), None
+            )
+            if got is None:
+                got = len(distinct)
+                distinct.append(m)
+        ids.append(got)
+    return ids, distinct
+
+
 def assemble(domain: ConvexPolygon, pieces) -> PLMap:
     """Build a PLMap from (Triangle, Motion) pairs, sharing repeats.
 
-    Rational vertices and motions dedupe through dictionaries keyed by
-    their Fraction entries; irrational ones fall back to an exact linear
-    scan.
+    Rational vertices dedupe through a dictionary keyed by the integer
+    pairs of their coordinates, irrational ones by an exact linear scan;
+    motions dedupe through ``motion_ids``.
     """
+    pieces = list(pieces)
+    motion_of, motions = motion_ids([m for _, m in pieces])
     vertices: list[Point] = []
     rational_index: dict = {}
     triangles = []
-    motions: list[Motion] = []
-    rational_motions: dict = {}
 
     def vertex_id(p: Point) -> int:
         if p.is_rational:
-            key = (p.x, p.y)
+            key = (p.x.as_integer_ratio(), p.y.as_integer_ratio())
             got = rational_index.get(key)
             if got is None:
                 rational_index[key] = got = len(vertices)
@@ -356,24 +386,8 @@ def assemble(domain: ConvexPolygon, pieces) -> PLMap:
         vertices.append(p)
         return len(vertices) - 1
 
-    def motion_id(m: Motion) -> int:
-        if m.is_rational():
-            key = (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)
-            got = rational_motions.get(key)
-            if got is None:
-                rational_motions[key] = got = len(motions)
-                motions.append(m)
-            return got
-        for i, known in enumerate(motions):
-            if known is m or known == m:
-                return i
-        motions.append(m)
-        return len(motions) - 1
-
-    for tri, motion in pieces:
+    for (tri, _), m in zip(pieces, motion_of):
         if orientation(tri.v0, tri.v1, tri.v2) != 1:
             raise ValueError("assemble expects positively oriented triangles")
-        triangles.append(
-            (vertex_id(tri.v0), vertex_id(tri.v1), vertex_id(tri.v2), motion_id(motion))
-        )
+        triangles.append((vertex_id(tri.v0), vertex_id(tri.v1), vertex_id(tri.v2), m))
     return PLMap(domain, vertices, triangles, motions)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import ast
+import random
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,9 +18,11 @@ from isofold.geometry import (
     Point,
     Segment,
     Triangle,
+    convex_hull,
     orientation,
     perpendicular_bisector,
     squared_distance,
+    triangulate_fan,
 )
 from isofold.motions import Motion, reflection_across_line
 from isofold.plmap import PLMap, assemble
@@ -27,6 +30,7 @@ from isofold.extension import (
     ChordTooLong,
     ConstructionError,
     FoldRegion,
+    StepTrace,
     DegenerateHullError,
     Instance,
     NonExpansivenessViolation,
@@ -38,11 +42,15 @@ from isofold.extension import (
     extend_all,
     extend_all_traced,
     extend_step,
+    extend_step_traced,
     fan_extension,
     fold_boundary_region,
     pullback_center,
     refit_region,
+    _merge_touched,
 )
+from instancegen import instance_suite, random_instance
+from test_acceptance import CANONICAL, induction_steps
 
 
 def P(x, y) -> Point:
@@ -471,6 +479,73 @@ class TestInstanceSuiteTraces:
         f, trace = extend_all_traced(i)
         for a, b in i.pairs():
             assert f.evaluate(a) == b
+
+
+class TestMerge:
+    @staticmethod
+    def touched_motions(g, a, b, f):
+        """Motions of the cells the region cut, and motions new in f."""
+        cut = [g.restrict_motion(t) for t, _ in refit_region(g, a, b).pieces]
+        return cut + [m for m in f.motions if not any(m == old for old in g.motions)]
+
+    def test_touched_convex_groups_are_hull_fans(self):
+        merged = 0
+        for instance in CANONICAL + instance_suite(7, 6, max_points=8):
+            for g, a, b in induction_steps(instance):
+                f, trace = extend_step_traced(g, a, b)
+                rep = f.validate()
+                assert rep.all_passed, rep.failures()
+                merged += trace.merged_groups
+                touched = self.touched_motions(g, a, b, f)
+                for k, motion in enumerate(f.motions):
+                    if not any(motion == m for m in touched):
+                        continue
+                    cells = [f.cell(t) for t, row in enumerate(f.triangles) if row[3] == k]
+                    if len(cells) < 2:
+                        continue
+                    hull = convex_hull([v for c in cells for v in c.vertices])
+                    if hull.area2() != sum(c.area2() for c in cells):
+                        continue
+                    fan = triangulate_fan(hull, hull.vertices[0])
+                    assert [c.vertices for c in cells] == [t.vertices for t in fan]
+        assert merged > 0
+
+    def test_disjoint_group_keeps_its_cells(self):
+        ident, shift = Motion.identity(), Motion.translation(1, 0)
+        apart = [
+            (Triangle(P(0, 0), P(1, 0), P(0, 1)), ident),
+            (Triangle(P(3, 3), P(4, 3), P(4, 4)), ident),
+        ]
+        # A unit square cut along the diagonal its hull fan does not use.
+        square = [
+            (Triangle(P(2, 0), P(3, 0), P(2, 1)), shift),
+            (Triangle(P(3, 0), P(3, 1), P(2, 1)), shift),
+        ]
+        trace = StepTrace()
+        out = _merge_touched(apart + square, [], 0, trace)
+        assert (trace.merged_groups, trace.kept_groups) == (1, 1)
+        assert out[:2] == apart
+        assert [t.vertices for t, _ in out[2:]] == [
+            (P(2, 0), P(3, 0), P(3, 1)), (P(2, 0), P(3, 1), P(2, 1))
+        ]
+        assert all(m is shift for _, m in out[2:])
+
+    def test_hulls_only_touched_groups(self, monkeypatch):
+        g, a, b = induction_steps(random_instance(random.Random(3), 10))[-1]
+        calls = []
+
+        def counted(points):
+            calls.append(points)
+            return convex_hull(points)
+
+        monkeypatch.setattr("isofold.extension.convex_hull", counted)
+        f, trace = extend_step_traced(g, a, b)
+        assert len(calls) == trace.merged_groups + trace.kept_groups
+        assert len(calls) <= len(self.touched_motions(g, a, b, f))
+        sizes = {}
+        for row in f.triangles:
+            sizes[row[3]] = sizes.get(row[3], 0) + 1
+        assert len(calls) < sum(1 for n in sizes.values() if n > 1)
 
 
 class TestInvariants:
