@@ -134,12 +134,6 @@ class ExactNumber:
             return NotImplemented
         return compare(self, other) == EQ
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return eq
-        return not eq
-
     def __lt__(self, other):
         return compare(self, other) == LT
 

@@ -7,8 +7,8 @@ planar motions.  Points are added one at a time: each step carves out
 the refit region (where the current map is too far from the new target),
 refans it from the new source point, covers the region's contact
 with the hull boundary by rigid pieces, folded once where needed, and
-merges the cells of each motion it touched into one fan wherever
-their union is convex.
+merges the cells of each motion it touched into one convex piece
+wherever their union is convex; ``assemble`` fans the pieces.
 
 All branch decisions are exact.  With rational input the whole pipeline
 stays rational: motions come from two-point solves over squared
@@ -18,7 +18,7 @@ distances and never take a square root.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cmp_to_key
+from operator import itemgetter
 from typing import NamedTuple
 
 from .exactreal import compare, equals, sign
@@ -36,7 +36,6 @@ from .geometry import (
     perpendicular_bisector,
     point_in_polygon,
     squared_distance,
-    triangulate_fan,
     Location,
 )
 from .motions import Motion, compose, from_three_points, from_two_pairs, line_preimage, reflection_across_line
@@ -181,8 +180,7 @@ def base_case(a1: Point, b1: Point, domain: ConvexPolygon) -> PLMap:
     if point_in_polygon(a1, domain) is Location.OUTSIDE:
         raise ValueError("base point must lie in the domain")
     shift = Motion.translation(b1.x - a1.x, b1.y - a1.y)
-    tris = triangulate_fan(domain, domain.vertices[0])
-    return assemble(domain, [(t, shift) for t in tris])
+    return assemble(domain, [(domain, shift)])
 
 
 def pullback_center(g_i: Motion, b_n: Point) -> Point:
@@ -371,33 +369,28 @@ def cone_pieces(region: FoldRegion):
     """
     apex = region.polygon[0]
     chain = region.polygon[1:]
-    out = []
-    splits = 0
-    if region.fold_line is None:
-        for u, v in zip(chain, chain[1:]):
-            if orientation(apex, u, v) == 1:
-                out.append((Triangle(apex, u, v), region.rigid_part))
-            else:
-                _require(orientation(apex, u, v) == 0, "cone walk runs clockwise")
-        return out, splits
-
     line = region.fold_line
-    rigid_side = line.side(region.pivot)
-    swing_side = line.side(region.swing)
-    _require(swing_side != 0, "swing cannot sit on the fold line")
-    if rigid_side == 0:
-        rigid_side = -swing_side
-    _require(swing_side * rigid_side < 0, "pivot and swing on one side of the fold")
+    # Without a fold every side is 0, which motion_for maps to the rigid part.
+    rigid_side = 0
+    if line is not None:
+        rigid_side = line.side(region.pivot)
+        swing_side = line.side(region.swing)
+        _require(swing_side != 0, "swing cannot sit on the fold line")
+        if rigid_side == 0:
+            rigid_side = -swing_side
+        _require(swing_side * rigid_side < 0, "pivot and swing on one side of the fold")
 
     def motion_for(s: int) -> Motion:
         return region.rigid_part if s * rigid_side >= 0 else region.reflected_part
 
+    out = []
+    splits = 0
     for u, v in zip(chain, chain[1:]):
         o = orientation(apex, u, v)
         if o == 0:
             continue
         _require(o == 1, "cone walk runs clockwise")
-        su, sv = line.side(u), line.side(v)
+        su, sv = (0, 0) if line is None else (line.side(u), line.side(v))
         if su * sv < 0:
             vu = line.value(u)
             t = vu / (vu - line.value(v))
@@ -464,12 +457,7 @@ def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
         _require(compare(tp, tq) == -1, "contact edge runs against hull orientation")
         keyed.append((k, tp, seg))
 
-    def key_cmp(a, b):
-        if a[0] != b[0]:
-            return -1 if a[0] < b[0] else 1
-        return compare(a[1], b[1])
-
-    keyed.sort(key=cmp_to_key(key_cmp))
+    keyed.sort(key=itemgetter(0, 1))
     chains: list[list[Point]] = []
     for _, _, seg in keyed:
         if chains and chains[-1][-1] == seg.p:
@@ -497,7 +485,7 @@ def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
 
 
 def _merge_touched(pieces, cut_motions, first_new, trace):
-    """Replace each touched motion group by the fan of its hull.
+    """Replace each touched motion group by its hull.
 
     A group is the pieces sharing one motion, as ``assemble`` dedups
     them.  It is touched when its motion is one of cut_motions (the
@@ -505,8 +493,9 @@ def _merge_touched(pieces, cut_motions, first_new, trace):
     first_new on (the fans and cones).  Untouched groups were merged on
     the step that last touched them.  The pieces tile the domain, so a
     group whose hull has exactly their summed area has that hull as its
-    union, and becomes the hull's fan from its first vertex.  A group
-    failing the check, one motion on disjoint regions, keeps its pieces.
+    union, and becomes (hull, motion).  A lone three-vertex piece stays.
+    A group failing the check, one motion on disjoint regions, keeps its
+    pieces.
     """
     ids, _ = motion_ids([m for _, m in pieces] + cut_motions)
     touched = set(ids[first_new:])
@@ -514,27 +503,20 @@ def _merge_touched(pieces, cut_motions, first_new, trace):
     for i, k in enumerate(ids[:len(pieces)]):
         if k in touched:
             groups.setdefault(k, []).append(i)
-    fans = {}
-    dropped = set()
+    out = list(pieces)
     for members in groups.values():
-        if len(members) < 2:
+        parts = [pieces[i][0] for i in members]
+        if len(parts) == 1 and len(parts[0].vertices) == 3:
             continue
-        tris = [pieces[i][0] for i in members]
-        hull = convex_hull([v for tri in tris for v in tri.vertices])
-        if not equals(hull.area2(), sum(tri.area2() for tri in tris)):
+        hull = convex_hull([v for part in parts for v in part.vertices])
+        if not equals(hull.area2(), sum(part.area2() for part in parts)):
             trace.kept_groups += 1
             continue
         trace.merged_groups += 1
-        motion = pieces[members[0]][1]
-        fans[members[0]] = [(tri, motion) for tri in triangulate_fan(hull, hull.vertices[0])]
-        dropped.update(members[1:])
-    out = []
-    for i, piece in enumerate(pieces):
-        if i in fans:
-            out += fans[i]
-        elif i not in dropped:
-            out.append(piece)
-    return out
+        out[members[0]] = (hull, pieces[members[0]][1])
+        for i in members[1:]:
+            out[i] = None
+    return [piece for piece in out if piece is not None]
 
 
 def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
@@ -548,14 +530,11 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
 
     pieces = []
     for t, part in region.outside:
-        motion = g.restrict_motion(t)
         if isinstance(part, Triangle):
             trace.empty_cells += 1
-            pieces.append((part, motion))
-            continue
-        for tri in triangulate_fan(part, part.vertices[0]):
+        else:
             trace.complement_pieces += 1
-            pieces.append((tri, motion))
+        pieces.append((part, g.restrict_motion(t)))
     first_new = len(pieces)
 
     fans = fan_extension(a_n, b_n, region, g)
@@ -584,8 +563,8 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
     cut_motions = [g.restrict_motion(t) for t, _ in region.pieces]
     pieces = _merge_touched(pieces, cut_motions, first_new, trace)
     total = None
-    for tri, _ in pieces:
-        a2 = tri.area2()
+    for part, _ in pieces:
+        a2 = part.area2()
         total = a2 if total is None else total + a2
     _require(
         total is not None and equals(total, g.domain.area2()),

@@ -83,6 +83,9 @@ def _parse_rational(text) -> Fraction:
         return Fraction(text)
     except ZeroDivisionError:
         raise ParseError(f"zero denominator: {text!r}") from None
+    except ValueError as exc:
+        # Python's limit on the digits of an int parsed from a string.
+        raise ParseError(f"rational literal too long: {exc}") from None
 
 
 def number_to_json(x):
@@ -270,9 +273,10 @@ def _motion_from_json(obj, roots) -> Motion:
 def parse_map(text: str) -> MapDocument:
     """Rebuild a stored map without enforcing semantic invariants.
 
-    Motions and triangle rows come back through the unchecked
-    constructors so a corrupted file still parses and can be fed to the
-    audits; only shape and index-range errors fail here.
+    Motions come back through ``Motion.unchecked`` and triangle rows pass
+    only the ``PLMap`` row gate, so a corrupted file still parses and can
+    be fed to the audits; only shape, type and index-range errors fail
+    here.
     """
     try:
         doc = json.loads(text)
@@ -294,30 +298,16 @@ def parse_map(text: str) -> MapDocument:
         domain = ConvexPolygon([_point_from_json(v, roots) for v in body["domain"]])
     except ValueError as exc:
         raise ParseError(f"bad domain polygon: {exc}") from None
-    vertices = tuple(_point_from_json(v, roots) for v in body["vertices"])
-    motions = tuple(_motion_from_json(m, roots) for m in body["motions"])
-    triangles = []
-    for row in body["triangles"]:
-        good = (
-            isinstance(row, list) and len(row) == 4
-            and all(isinstance(v, int) and not isinstance(v, bool) for v in row)
-            and 0 <= row[0] < len(vertices)
-            and 0 <= row[1] < len(vertices)
-            and 0 <= row[2] < len(vertices)
-            and 0 <= row[3] < len(motions)
-        )
-        if not good:
-            raise ParseError(f"bad triangle row: {row!r}")
-        triangles.append(tuple(row))
+    vertices = [_point_from_json(v, roots) for v in body["vertices"]]
+    motions = [_motion_from_json(m, roots) for m in body["motions"]]
+    try:
+        f = PLMap(domain, vertices, body["triangles"], motions)
+    except (TypeError, ValueError, IndexError) as exc:
+        raise ParseError(f"bad triangle row: {exc}") from None
     audits = doc.get("audits")
     if audits is not None and not isinstance(audits, dict):
         raise ParseError('"audits" must be an object when present')
-    return MapDocument(
-        PLMap.unchecked(domain, vertices, tuple(triangles), motions),
-        doc["instance_hash"],
-        doc["tool_version"],
-        audits,
-    )
+    return MapDocument(f, doc["instance_hash"], doc["tool_version"], audits)
 
 
 def read_text(path) -> str:

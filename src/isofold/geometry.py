@@ -13,8 +13,6 @@ values, not errors, so callers can branch on them without try/except.
 from __future__ import annotations
 
 from enum import Enum
-from functools import cmp_to_key
-
 from fractions import Fraction
 from math import lcm
 
@@ -67,10 +65,6 @@ class Point:
         if not isinstance(other, Point):
             return NotImplemented
         return self.x == other.x and self.y == other.y
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
 
     __hash__ = None
 
@@ -332,13 +326,6 @@ class Location(Enum):
     OUTSIDE = "outside"
 
 
-def _cmp_points(p: Point, q: Point) -> int:
-    c = compare(p.x, q.x)
-    if c != 0:
-        return c
-    return compare(p.y, q.y)
-
-
 def convex_hull(points):
     """Convex hull as a ConvexPolygon, or a DegenerateHull value.
 
@@ -348,7 +335,7 @@ def convex_hull(points):
     pts = list(points)
     if not pts:
         raise ValueError("hull of no points")
-    pts.sort(key=cmp_to_key(_cmp_points))
+    pts.sort(key=lambda p: (p.x, p.y))
     dedup = [pts[0]]
     for p in pts[1:]:
         if p != dedup[-1]:

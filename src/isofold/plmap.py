@@ -1,9 +1,9 @@
 """Piecewise-linear maps: a triangulation with one motion per cell.
 
-The container is deliberately tolerant at construction (index bounds
-only); deep coherence lives in ``validate`` so that structurally broken
-inputs parsed from files are reported through a ValidationReport rather
-than an exception mid-parse.
+The constructor is the one gate for triangle rows (quadruples of ints
+in range) and checks nothing else; geometric coherence lives in
+``validate`` so that broken maps parsed from files are reported through
+a ValidationReport rather than an exception mid-parse.
 """
 
 from __future__ import annotations
@@ -96,22 +96,14 @@ class PLMap:
         for row in self.triangles:
             if len(row) != 4:
                 raise ValueError("triangle rows are (i, j, k, motion) quadruples")
+            if not all(type(ix) is int for ix in row):
+                raise TypeError(f"triangle row entries must be ints: {row}")
             i, j, k, m = row
             if not all(0 <= ix < nv for ix in (i, j, k)):
                 raise IndexOutOfRange(f"vertex index out of range in {row}")
             if not 0 <= m < nm:
                 raise IndexOutOfRange(f"motion index out of range in {row}")
         self._forms = None
-
-    @classmethod
-    def unchecked(cls, domain, vertices, triangles, motions) -> "PLMap":
-        m = object.__new__(cls)
-        m.domain = domain
-        m.vertices = tuple(vertices)
-        m.triangles = tuple(tuple(row) for row in triangles)
-        m.motions = tuple(motions)
-        m._forms = None
-        return m
 
     def __len__(self):
         return len(self.triangles)
@@ -169,17 +161,9 @@ class PLMap:
         return ValidationReport(checks)
 
     def _check_cells(self):
-        nv = len(self.vertices)
-        nm = len(self.motions)
-        for t, row in enumerate(self.triangles):
-            if len(row) != 4:
-                return ("triangle-orientation", False, f"row {t} is not a quadruple")
-            i, j, k, m = row
-            if not all(isinstance(ix, int) and 0 <= ix < nv for ix in (i, j, k)):
-                return ("triangle-orientation", False, f"bad vertex index in row {t}")
-            if not (isinstance(m, int) and 0 <= m < nm):
-                return ("triangle-orientation", False, f"bad motion index in row {t}")
-            if orientation(self.vertices[i], self.vertices[j], self.vertices[k]) != 1:
+        vs = self.vertices
+        for t, (i, j, k, _) in enumerate(self.triangles):
+            if orientation(vs[i], vs[j], vs[k]) != 1:
                 return (
                     "triangle-orientation",
                     False,
@@ -360,11 +344,13 @@ def motion_ids(motions):
 
 
 def assemble(domain: ConvexPolygon, pieces) -> PLMap:
-    """Build a PLMap from (Triangle, Motion) pairs, sharing repeats.
+    """Build a PLMap from (Triangle or ConvexPolygon, Motion) pairs.
 
-    Rational vertices dedupe through a dictionary keyed by the integer
-    pairs of their coordinates, irrational ones by an exact linear scan;
-    motions dedupe through ``motion_ids``.
+    A Triangle becomes one row as given and must be positively oriented;
+    a ConvexPolygon becomes its fan from its first vertex.  Rational
+    vertices dedupe through a dictionary keyed by the integer pairs of
+    their coordinates, irrational ones by an exact linear scan; motions
+    dedupe through ``motion_ids``.
     """
     pieces = list(pieces)
     motion_of, motions = motion_ids([m for _, m in pieces])
@@ -386,8 +372,10 @@ def assemble(domain: ConvexPolygon, pieces) -> PLMap:
         vertices.append(p)
         return len(vertices) - 1
 
-    for (tri, _), m in zip(pieces, motion_of):
-        if orientation(tri.v0, tri.v1, tri.v2) != 1:
+    for (piece, _), m in zip(pieces, motion_of):
+        vs = piece.vertices
+        if isinstance(piece, Triangle) and orientation(*vs) != 1:
             raise ValueError("assemble expects positively oriented triangles")
-        triangles.append((vertex_id(tri.v0), vertex_id(tri.v1), vertex_id(tri.v2), m))
+        ids = [vertex_id(v) for v in vs]
+        triangles += ((ids[0], ids[k], ids[k + 1], m) for k in range(1, len(ids) - 1))
     return PLMap(domain, vertices, triangles, motions)

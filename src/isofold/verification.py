@@ -15,7 +15,7 @@ from typing import Optional
 
 from .exactreal import GT, compare, decimal_string, number
 from .extension import Instance, Violation
-from .geometry import Point, Triangle, squared_distance
+from .geometry import Point, squared_distance, triangulate_fan
 from .plmap import OutsideDomain, PLMap
 
 __all__ = [
@@ -116,12 +116,11 @@ def audit_interpolation(f: PLMap, inst: Instance) -> AuditReport:
 def _fan(domain):
     """The domain's fan triangles a, b, c from its first vertex, as
     (cumulative area2, a, b - a, c - a) with exact coordinate pairs."""
-    vs = domain.vertices
-    a = vs[0]
     fan = []
     total = 0
-    for b, c in zip(vs[1:-1], vs[2:]):
-        total = total + Triangle(a, b, c).area2()
+    for tri in triangulate_fan(domain, domain.vertices[0]):
+        a, b, c = tri.vertices
+        total = total + tri.area2()
         fan.append((total, (a.x, a.y), (b.x - a.x, b.y - a.y), (c.x - a.x, c.y - a.y)))
     return fan
 

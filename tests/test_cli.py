@@ -142,6 +142,21 @@ class TestExtend:
         assert main(["extend", "--input", str(path)]) == 1
         assert stderr_json(capsys)["error"] == "parse"
 
+    def test_overlong_coordinate_exit_1_without_traceback(self, tmp_path):
+        # Past Python's 4300-digit limit on parsing an int from a string.
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(
+            {"points": [{"a": ["1" * 5000, "0"], "b": ["0", "0"]}]}
+        ))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "extend", "--input", str(path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse"
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["extend", "verify"])
@@ -219,6 +234,21 @@ class TestVerify:
             "verify", "--map", path, "--instance", str(golden_path),
         ]) == 1
         assert stderr_json(capsys)["error"] == "parse"
+
+    def test_overlong_coordinate_exit_1_without_traceback(self, golden_path, tmp_path):
+        path = self.make_map(golden_path, tmp_path)
+        doc = json.loads((tmp_path / "map.json").read_text())
+        doc["map"]["vertices"][0][0] = "1" * 5000
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "verify", "--map", path,
+             "--instance", str(golden_path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse"
 
     def test_too_many_square_roots_exit_1(self, golden_path, tmp_path):
         # One vertex coordinate is two separately written 11-term sums of

@@ -525,7 +525,11 @@ class TestMerge:
         out = _merge_touched(apart + square, [], 0, trace)
         assert (trace.merged_groups, trace.kept_groups) == (1, 1)
         assert out[:2] == apart
-        assert [t.vertices for t, _ in out[2:]] == [
+        assert [hull.vertices for hull, _ in out[2:]] == [
+            (P(2, 0), P(3, 0), P(3, 1), P(2, 1))
+        ]
+        fan = assemble(out[2][0], out[2:])
+        assert [fan.cell(t).vertices for t in range(len(fan))] == [
             (P(2, 0), P(3, 0), P(3, 1)), (P(2, 0), P(3, 1), P(2, 1))
         ]
         assert all(m is shift for _, m in out[2:])

@@ -211,6 +211,13 @@ class TestMapFiles:
         lambda d: d["map"]["motions"].append({"r": [["1"]], "t": ["0", "0"]}),
         lambda d: d["map"]["vertices"].append(["1/2"]),
         lambda d: d.__setitem__("audits", 7),
+        lambda d: d["map"]["triangles"].__setitem__(0, [True, 1, 2, 0]),
+        lambda d: d["map"]["triangles"].__setitem__(0, [0, 1, 2, 0.0]),
+        lambda d: d["map"]["triangles"].__setitem__(0, "0120"),
+        lambda d: d["map"]["triangles"].__setitem__(0, 7),
+        lambda d: d["map"]["triangles"].__setitem__(0, None),
+        # Past Python's 4300-digit limit on parsing an int from a string.
+        lambda d: d["map"]["vertices"][0].__setitem__(0, "1" * 5000),
     ])
     def test_shape_errors(self, mutate):
         f = extend_all(GOLDEN)

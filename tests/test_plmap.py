@@ -78,6 +78,25 @@ class TestAssembleAndAccess:
         with pytest.raises(ValueError):
             assemble(dom, [(Triangle(P(0, 0), P(0, 2), P(2, 0)), Motion.identity())])
 
+    @pytest.mark.parametrize("row", [
+        (0, 1, 2, False),
+        (True, 1, 2, 0),
+        (0, 1.0, 2, 0),
+        (0, 1, 2),
+        (0, 1, 2, 0, 0),
+    ])
+    def test_rows_are_int_quadruples(self, row):
+        dom = ConvexPolygon([P(0, 0), P(2, 0), P(0, 2)])
+        with pytest.raises((TypeError, ValueError)):
+            PLMap(dom, [P(0, 0), P(2, 0), P(0, 2)], [row], [Motion.identity()])
+
+    def test_assemble_fans_convex_polygon_from_first_vertex(self):
+        square = ConvexPolygon([P(2, 0), P(2, 2), P(0, 2), P(0, 0)])
+        m = assemble(square, [(square, Motion.identity())])
+        assert m.vertices == (P(2, 0), P(2, 2), P(0, 2), P(0, 0))
+        assert m.triangles == ((0, 1, 2, 0), (0, 2, 3, 0))
+        assert m.validate().all_passed
+
 
 class TestEvaluate:
     def test_interior_points(self):
@@ -117,7 +136,7 @@ class TestValidate:
 
     def test_orientation_failure(self):
         dom = ConvexPolygon([P(0, 0), P(2, 0), P(0, 2)])
-        m = PLMap.unchecked(
+        m = PLMap(
             dom, [P(0, 0), P(2, 0), P(0, 2)], [(0, 2, 1, 0)], [Motion.identity()]
         )
         rep = m.validate()
@@ -127,7 +146,7 @@ class TestValidate:
 
     def test_area_failure(self):
         dom = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
-        m = PLMap.unchecked(
+        m = PLMap(
             dom,
             [P(0, 0), P(2, 0), P(2, 2)],
             [(0, 1, 2, 0)],
@@ -139,7 +158,7 @@ class TestValidate:
 
     def test_overlap_failure(self):
         dom = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
-        m = PLMap.unchecked(
+        m = PLMap(
             dom,
             [P(0, 0), P(2, 0), P(2, 2), P(0, 2), P(2, 1)],
             [(0, 1, 2, 0), (0, 1, 4, 0), (0, 2, 3, 0)],
@@ -153,7 +172,7 @@ class TestValidate:
     def test_bad_motion_reported(self):
         dom = ConvexPolygon([P(0, 0), P(2, 0), P(0, 2)])
         scale = Motion.unchecked(((2, 0), (0, 2)), (0, 0))
-        m = PLMap.unchecked(dom, [P(0, 0), P(2, 0), P(0, 2)], [(0, 1, 2, 0)], [scale])
+        m = PLMap(dom, [P(0, 0), P(2, 0), P(0, 2)], [(0, 1, 2, 0)], [scale])
         rep = m.validate()
         assert not rep.all_passed
         assert "motion-orthogonality" in [n for n, ok, _ in rep.checks if not ok]
@@ -161,7 +180,7 @@ class TestValidate:
     def test_edge_disagreement(self):
         dom = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
         # Translation on one side of the diagonal, identity on the other.
-        m = PLMap.unchecked(
+        m = PLMap(
             dom,
             [P(0, 0), P(2, 0), P(2, 2), P(0, 2)],
             [(0, 1, 2, 0), (0, 2, 3, 1)],
@@ -175,7 +194,7 @@ class TestValidate:
         # Two triangles sharing one vertex; motions must agree there.
         dom = ConvexPolygon([P(0, 0), P(4, 0), P(4, 4), P(0, 4)])
         mirror = reflection_across_line(Line(1, -1, 0))
-        m = PLMap.unchecked(
+        m = PLMap(
             dom,
             [P(0, 0), P(2, 0), P(2, 2), P(2, 4), P(0, 4)],
             [(0, 1, 2, 0), (2, 3, 4, 1)],

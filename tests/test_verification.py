@@ -140,7 +140,7 @@ class TestStructure:
         # Two triangles sharing interior area.
         vs = (P(0, 0), P(4, 0), P(0, 4), P(4, 4))
         ident = Motion.identity()
-        f = PLMap.unchecked(
+        f = PLMap(
             ConvexPolygon([P(0, 0), P(4, 0), P(4, 4), P(0, 4)]),
             vs,
             ((0, 1, 2, 0), (0, 1, 3, 0), (1, 3, 2, 0)),
