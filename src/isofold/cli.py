@@ -13,6 +13,7 @@ import sys
 
 from .extension import DegenerateHullError, NonExpansivenessViolation, extend_all
 from .fileio import (
+    NumberTooLong,
     ParseError,
     instance_hash,
     parse_instance,
@@ -90,9 +91,12 @@ def cmd_extend(args) -> int:
         cfg = AuditConfig(sample_count=args.samples, rng_seed=args.seed)
         report = _run_audits(f, inst, cfg)
 
-    document = serialize_map(
-        f, instance_hash(inst), None if report is None else report.as_dict()
-    )
+    try:
+        document = serialize_map(
+            f, instance_hash(inst), None if report is None else report.as_dict()
+        )
+    except NumberTooLong as exc:
+        return _fail(EXIT_IO, "number_too_long", detail=str(exc))
     try:
         if args.output:
             write_text(args.output, document)

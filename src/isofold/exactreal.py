@@ -35,6 +35,7 @@ __all__ = [
     "equals",
     "approximate",
     "decimal_string",
+    "scientific_string",
     "rational_backend",
     "kernel_backend",
 ]
@@ -715,3 +716,25 @@ def decimal_string(x, places: int = 12) -> str:
         digits = str(n).rjust(places + 1, "0")
         out = f"{digits[:-places]}.{digits[-places:]}"
     return "-" + out if neg and n else out
+
+
+def scientific_string(q: Fraction, digits: int = 12) -> str:
+    """q as "d.ddde+N", rounded half-up to `digits` significant digits.
+
+    No int of q's size is written as a string, so this works past
+    Python's limit on the digits of one.  q must be nonzero.
+    """
+    neg = q < 0
+    q = abs(q)
+    # log10(2) < 0.30103, so e starts within one of floor(log10(q)).
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) * 30103 // 100000
+    while q >= Fraction(10) ** (e + 1):
+        e += 1
+    while q < Fraction(10) ** e:
+        e -= 1
+    m = q / Fraction(10) ** (e + 1 - digits)
+    n = (2 * m.numerator + m.denominator) // (2 * m.denominator)
+    if n == 10**digits:
+        n, e = n // 10, e + 1
+    text = str(n)
+    return f"{'-' if neg else ''}{text[0]}.{text[1:]}e{e:+d}"

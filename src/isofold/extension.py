@@ -10,6 +10,14 @@ with the hull boundary by rigid pieces, folded once where needed, and
 merges the cells of each motion it touched into one convex piece
 wherever their union is convex; ``assemble`` fans the pieces.
 
+In a cell with motion g_m, |b_n - g(x)|^2 - |a_n - x|^2 is minus the
+value at x of the cell's cut, the bisector of a_n and g_m^-1(b_n), so
+the region there is the cut's a_n side, where the new map is g_m after
+the reflection in the cut.  ``refit_region`` hands on each chord with
+that fan motion and each hull contact with its cell's motion and which
+ends lie on the cut; fans, chains and cones read them, and a step
+locates a_n alone.
+
 All branch decisions are exact.  With rational input the whole pipeline
 stays rational: motions come from two-point solves over squared
 distances and never take a square root.
@@ -25,7 +33,6 @@ from .exactreal import compare, equals, sign
 from .geometry import (
     ConvexPolygon,
     DegenerateHull,
-    Line,
     Point,
     Segment,
     Triangle,
@@ -38,7 +45,7 @@ from .geometry import (
     squared_distance,
     Location,
 )
-from .motions import Motion, compose, from_three_points, from_two_pairs, line_preimage, reflection_across_line
+from .motions import Motion, compose, from_two_pairs, line_preimage, reflection_across_line
 from .plmap import PLMap, assemble, motion_ids
 
 __all__ = [
@@ -196,9 +203,12 @@ class RefitRegion:
     outside: (triangle index, part) for every cell with area outside the
     region, in index order: the cell's own Triangle when the region
     misses it, else the clipped ConvexPolygon.
-    boundary_segments: the bisector chords, oriented so the new source
-    sees them counterclockwise.
-    hull_contacts: piece edges lying on the domain boundary.
+    boundary_segments: (chord, fan motion) for every piece with an edge
+    on its cut.  The chord is that edge, oriented so the new source sees
+    it counterclockwise; the fan motion is compose(g_m, reflection in
+    the cut), built once per cut motion.
+    hull_contacts: (segment, hull edge index, g_m, p on cut, q on cut)
+    for every piece edge on the domain boundary other than a chord.
     """
 
     __slots__ = ("pieces", "outside", "boundary_segments", "hull_contacts")
@@ -219,7 +229,10 @@ class RefitRegion:
 
 
 def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
-    """Split each cell once along its motion's cut (one bisector per motion)."""
+    """Split each cell once along its motion's cut (one bisector per motion).
+
+    Checking g(a_n) != b_n is the step's only point location.
+    """
     if g.evaluate(a_n) == b_n:
         raise TargetAlreadyMatched("the map already interpolates this pair")
     cuts = []
@@ -227,7 +240,7 @@ def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
         c = pullback_center(motion, b_n)
         line = None if c == a_n else perpendicular_bisector(a_n, c)
         cuts.append(None if line is None else (line, line.side(a_n)))
-    hull = g.domain
+    fans = {}
     pieces = []
     outside = []
     chords = []
@@ -240,25 +253,29 @@ def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
             outside.append((t, cell))
             continue
         line, keep = cut
+        motion = g.motions[row[3]]
         pieces.append((t, piece))
         rest = clip_polygon_halfplane(cell, line, -keep)
         if isinstance(rest, ConvexPolygon):
             outside.append((t, rest))
         vs = piece.vertices
-        on_cut = [v for v in vs if line.side(v) == 0]
-        _require(len(on_cut) <= 2, "cut line meets a convex piece in >2 vertices")
-        if len(on_cut) == 2:
-            p, q = on_cut
+        on_cut = [line.side(v) == 0 for v in vs]
+        ends = [v for v, on in zip(vs, on_cut) if on]
+        _require(len(ends) <= 2, "cut line meets a convex piece in >2 vertices")
+        if len(ends) == 2:
+            p, q = ends
             if orientation(a_n, p, q) == -1:
                 p, q = q, p
-            chords.append(Segment(p, q))
-        m = len(vs)
-        for i in range(m):
-            x, y = vs[i], vs[(i + 1) % m]
-            if line.side(x) == 0 and line.side(y) == 0:
+            if row[3] not in fans:
+                fans[row[3]] = compose(motion, reflection_across_line(line))
+            chords.append((Segment(p, q), fans[row[3]]))
+        for i in range(len(vs)):
+            j = (i + 1) % len(vs)
+            if on_cut[i] and on_cut[j]:
                 continue
-            if _hull_edge_of(hull, x, y) is not None:
-                contacts.append(Segment(x, y))
+            k = _hull_edge_of(g.domain, vs[i], vs[j])
+            if k is not None:
+                contacts.append((Segment(vs[i], vs[j]), k, motion, on_cut[i], on_cut[j]))
     return RefitRegion(pieces, outside, chords, contacts)
 
 
@@ -278,18 +295,18 @@ def _hull_edge_of(hull: ConvexPolygon, x: Point, y: Point):
 
 
 def fan_extension(a_n: Point, b_n: Point, region: RefitRegion, g: PLMap):
-    """Fan triangles over the region's chords, with fitted motions.
+    """Fan triangles over the region's chords, each with its fan motion.
 
-    Each chord [p, q] spans the triangle (a_n, p, q) carrying the unique
-    motion with a_n -> b_n, p -> g(p), q -> g(q).
+    Each chord [p, q] spans the triangle (a_n, p, q).  Its fan motion
+    compose(g_m, reflection in the cut) sends a_n to g_m(g_m^-1(b_n)) =
+    b_n and fixes the cut, so it is the unique motion with a_n -> b_n,
+    p -> g(p), q -> g(q).  The chords carry it; b_n and g are not read.
     """
     out = []
-    for seg in region.boundary_segments:
-        p, q = seg.p, seg.q
-        if orientation(a_n, p, q) == 0:
+    for seg, m in region.boundary_segments:
+        if orientation(a_n, seg.p, seg.q) == 0:
             raise DegenerateFanTriangle("fan apex collinear with a chord")
-        m = from_three_points(a_n, b_n, p, g.evaluate(p), q, g.evaluate(q))
-        out.append((Triangle(a_n, p, q), m))
+        out.append((Triangle(a_n, seg.p, seg.q), m))
     return out
 
 
@@ -430,58 +447,47 @@ class ExtensionTrace:
         return any(s.folded_chains for s in self.steps)
 
 
-def _h_sign(g: PLMap, a_n: Point, b_n: Point, x: Point) -> int:
-    """Sign of |b_n - g(x)|^2 - |a_n - x|^2; positive inside the region."""
-    return sign(squared_distance(b_n, g.evaluate(x)) - squared_distance(a_n, x))
-
-
-def _contact_chains(g: PLMap, a_n: Point, b_n: Point, contacts):
+def _contact_chains(hull: ConvexPolygon, contacts):
     """Merge contact edges into maximal chains along the hull boundary.
 
-    Edges are ordered by (hull edge index, offset along the edge), glued
-    at exactly-equal endpoints (hull corners included), wrapped across
-    the seam, then split wherever an interior vertex already satisfies
-    the boundary equality |b_n - g(v)| = |a_n - v|.
+    contacts are RefitRegion.hull_contacts.  Edges are ordered by (hull
+    edge index, offset along the edge) and glued at exactly-equal
+    endpoints off the cut, hull corners included, so every chain starts
+    and ends on the region's boundary |b_n - g(v)| = |a_n - v|.  Yields
+    (chain, g(chain[0]), g(chain[-1])) per chain, the images taken from
+    the motions of the end contacts' cells.
     """
-    hull = g.domain
     vs = hull.vertices
-    n = len(vs)
     keyed = []
-    for seg in contacts:
-        k = _hull_edge_of(hull, seg.p, seg.q)
-        _require(k is not None, "contact segment left the hull boundary")
-        h1, h2 = vs[k], vs[(k + 1) % n]
+    for contact in contacts:
+        seg, k = contact[0], contact[1]
+        h1, h2 = vs[k], vs[(k + 1) % len(vs)]
         dx, dy = h2.x - h1.x, h2.y - h1.y
         tp = (seg.p.x - h1.x) * dx + (seg.p.y - h1.y) * dy
         tq = (seg.q.x - h1.x) * dx + (seg.q.y - h1.y) * dy
         _require(compare(tp, tq) == -1, "contact edge runs against hull orientation")
-        keyed.append((k, tp, seg))
+        keyed.append((k, tp, contact))
 
     keyed.sort(key=itemgetter(0, 1))
-    chains: list[list[Point]] = []
-    for _, _, seg in keyed:
-        if chains and chains[-1][-1] == seg.p:
-            chains[-1].append(seg.q)
+    chains: list[list] = []
+    for _, _, contact in keyed:
+        if chains and chains[-1][-1][0].q == contact[0].p and not contact[3]:
+            chains[-1].append(contact)
         else:
-            chains.append([seg.p, seg.q])
-    if len(chains) > 1 and chains[-1][-1] == chains[0][0]:
-        chains[-1].extend(chains[0][1:])
-        chains.pop(0)
+            chains.append([contact])
+    # A last chain ending where the first begins continues across the
+    # seam: the first goes after it, glued on if that point is off the cut.
+    if len(chains) > 1 and chains[-1][-1][0].q == chains[0][0][0].p:
+        first = chains.pop(0)
+        if not first[0][3]:
+            first = chains.pop() + first
+        chains.append(first)
 
-    out: list[list[Point]] = []
     for chain in chains:
-        current = [chain[0]]
-        for v in chain[1:-1]:
-            current.append(v)
-            if _h_sign(g, a_n, b_n, v) == 0:
-                out.append(current)
-                current = [v]
-        current.append(chain[-1])
-        out.append(current)
-    for chain in out:
-        _require(_h_sign(g, a_n, b_n, chain[0]) == 0, "chain start misses the boundary")
-        _require(_h_sign(g, a_n, b_n, chain[-1]) == 0, "chain end misses the boundary")
-    return out
+        (start, _, g_start, start_on, _), (end, _, g_end, _, end_on) = chain[0], chain[-1]
+        _require(start_on and end_on, "chain end misses the boundary")
+        points = [start.p] + [contact[0].q for contact in chain]
+        yield points, g_start.apply(start.p), g_end.apply(end.q)
 
 
 def _merge_touched(pieces, cut_motions, first_new, trace):
@@ -541,15 +547,13 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
     trace.chords = len(fans)
     pieces.extend(fans)
 
-    for chain in _contact_chains(g, a_n, b_n, region.hull_contacts):
+    for chain, g_pivot, g_swing in _contact_chains(g.domain, region.hull_contacts):
         trace.chains += 1
         if all(orientation(a_n, u, v) == 0 for u, v in zip(chain, chain[1:])):
             trace.degenerate_chains += 1
             continue
-        pivot, swing = chain[0], chain[-1]
         fr = fold_boundary_region(
-            [a_n, *chain], pivot, swing, a_n, b_n,
-            g.evaluate(pivot), g.evaluate(swing),
+            [a_n, *chain], chain[0], chain[-1], a_n, b_n, g_pivot, g_swing
         )
         cone, splits = cone_pieces(fr)
         if fr.fold_line is None:
@@ -562,14 +566,8 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
 
     cut_motions = [g.restrict_motion(t) for t, _ in region.pieces]
     pieces = _merge_touched(pieces, cut_motions, first_new, trace)
-    total = None
-    for part, _ in pieces:
-        a2 = part.area2()
-        total = a2 if total is None else total + a2
-    _require(
-        total is not None and equals(total, g.domain.area2()),
-        "step output does not tile the domain",
-    )
+    total = sum(part.area2() for part, _ in pieces)
+    _require(equals(total, g.domain.area2()), "step output does not tile the domain")
     return assemble(g.domain, pieces), trace
 
 

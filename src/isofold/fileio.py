@@ -40,6 +40,7 @@ from .plmap import PLMap
 __all__ = [
     "TOOL_VERSION",
     "ParseError",
+    "NumberTooLong",
     "MapDocument",
     "number_to_json",
     "number_from_json",
@@ -72,6 +73,10 @@ class ParseError(ValueError):
     """The document is not a well-formed instance or map file."""
 
 
+class NumberTooLong(ValueError):
+    """A number has more digits than a map file can carry and be parsed back."""
+
+
 def _canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -88,10 +93,19 @@ def _parse_rational(text) -> Fraction:
         raise ParseError(f"rational literal too long: {exc}") from None
 
 
+def _rational_text(q: Fraction) -> str:
+    try:
+        return str(q)
+    except ValueError as exc:
+        # Python's limit on the digits of an int written as a string is
+        # the one under which _parse_rational reads it back.
+        raise NumberTooLong(f"number too long for a map file: {exc}") from None
+
+
 def number_to_json(x):
     x = number(x)
     if type(x) is Fraction:
-        return str(x)
+        return _rational_text(x)
     rows = []
     seen = {}
 
@@ -101,7 +115,7 @@ def number_to_json(x):
             return seen[key]
         leaf = number(node)
         if type(leaf) is Fraction:
-            rows.append(str(leaf))
+            rows.append(_rational_text(leaf))
         else:
             args = [visit(a) for a in node._args]
             rows.append({"op": _OP_NAMES[node._op], "args": args})

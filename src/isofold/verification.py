@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactreal import GT, compare, decimal_string, number
+from .exactreal import GT, approximate, compare, decimal_string, number, scientific_string
 from .extension import Instance, Violation
 from .geometry import Point, squared_distance, triangulate_fan
 from .plmap import OutsideDomain, PLMap
@@ -79,8 +79,18 @@ class AuditReport:
 
 
 def _fmt(x) -> str:
+    """"p/q" for a rational, 12 decimal places for an irrational value.
+
+    A value whose digits pass Python's limit on writing an int as a
+    string is written "~d.ddddddddddde+N" instead: 12 significant
+    digits, rounded half-up.
+    """
     x = number(x)
-    return str(x) if type(x) is Fraction else decimal_string(x, 12)
+    try:
+        return str(x) if type(x) is Fraction else decimal_string(x, 12)
+    except ValueError:
+        # An irrational value fails only when huge, so an error of 1 is negligible.
+        return "~" + scientific_string(x if type(x) is Fraction else approximate(x, 1))
 
 
 def _fmt_point(p: Point) -> dict:

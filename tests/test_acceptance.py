@@ -199,7 +199,7 @@ def test_criterion_6():
         for g, a_n, b_n in induction_steps(instance):
             region = refit_region(g, a_n, b_n)
             f = extend_step(g, a_n, b_n)
-            for seg in region.boundary_segments:
+            for seg, _ in region.boundary_segments:
                 chords_seen += 1
                 for j in range(1, 101):
                     t = Fraction(j, 101)

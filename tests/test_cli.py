@@ -157,6 +157,25 @@ class TestExtend:
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "parse"
 
+    def test_map_number_past_digit_limit_exit_1_without_traceback(self, tmp_path):
+        # Every literal parses, but the motions carry rationals past
+        # Python's 4300-digit limit, which parse_map could not read back.
+        d, e = 10**2200 + 7, 10**2199 + 3
+        path = write_instance(tmp_path, "wide.json", [
+            (0, 0, 0, 0), (d, 0, e, 0), (0, d, 0, e), (d, d, e, e),
+        ])
+        out = tmp_path / "map.json"
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "extend", "--input", str(path),
+             "--output", str(out), "--verify", "none"],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "number_too_long"
+        assert not out.exists()
+
 
 class TestUsageErrors:
     @pytest.mark.parametrize("command", ["extend", "verify"])
@@ -249,6 +268,27 @@ class TestVerify:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "parse"
+
+    def test_witness_past_digit_limit_written_bounded(self, golden_path, tmp_path):
+        # r00 = 10^4000 parses, but squared image gaps pass Python's
+        # 4300-digit limit on writing an int as a string.
+        path = self.make_map(golden_path, tmp_path)
+        doc = json.loads((tmp_path / "map.json").read_text())
+        for motion in doc["map"]["motions"]:
+            motion["r"][0][0] = "1" + "0" * 4000
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "verify", "--map", path,
+             "--instance", str(golden_path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert proc.returncode == 4
+        assert len(proc.stderr.strip().splitlines()) == 1
+        report = json.loads(proc.stdout)
+        (witnesses,) = [c["witness"] for c in report["checks"] if c["name"] == "lipschitz_exact"]
+        gaps = [w["image_gap_squared"] for w in witnesses]
+        assert all(len(g) < 30 and g.startswith("~") for g in gaps)
+        assert gaps[0].endswith("e+8000")
 
     def test_too_many_square_roots_exit_1(self, golden_path, tmp_path):
         # One vertex coordinate is two separately written 11-term sums of

@@ -24,6 +24,7 @@ from isofold import (
     sign,
     sqrt,
 )
+from isofold.exactreal import scientific_string
 
 rationals = st.fractions(
     min_value=-20, max_value=20, max_denominator=16
@@ -232,6 +233,18 @@ class TestDecimalString:
     def test_other_places(self):
         assert decimal_string(sqrt(2), places=3) == "1.414"
         assert decimal_string(sqrt(3), places=1) == "1.7"
+
+
+class TestScientificString:
+    def test_rationals(self):
+        assert scientific_string(Fraction(1, 3)) == "3.33333333333e-1"
+        assert scientific_string(Fraction(-7)) == "-7.00000000000e+0"
+        assert scientific_string(Fraction(999999999999500), digits=12) == "1.00000000000e+15"
+        assert scientific_string(Fraction(123456, 1000), digits=3) == "1.23e+2"
+
+    def test_past_the_int_string_limit(self):
+        assert scientific_string(Fraction(10**8000 + 5 * 10**7988)) == "1.00000000001e+8000"
+        assert scientific_string(Fraction(1, 3 * 10**5000)) == "3.33333333333e-5001"
 
 
 class TestRepr:

@@ -24,7 +24,7 @@ from isofold.geometry import (
     squared_distance,
     triangulate_fan,
 )
-from isofold.motions import Motion, reflection_across_line
+from isofold.motions import Motion, from_three_points, reflection_across_line
 from isofold.plmap import PLMap, assemble
 from isofold.extension import (
     ChordTooLong,
@@ -47,10 +47,11 @@ from isofold.extension import (
     fold_boundary_region,
     pullback_center,
     refit_region,
+    _contact_chains,
     _merge_touched,
 )
 from instancegen import instance_suite, random_instance
-from test_acceptance import CANONICAL, induction_steps
+from test_acceptance import CANONICAL, induction_steps, omega_excess
 
 
 def P(x, y) -> Point:
@@ -166,11 +167,11 @@ class TestRefitRegion:
         vs = list(piece.vertices)
         assert len(vs) == 3
         assert P(0, 2) in vs and P(1, 3) in vs and P(0, 4) in vs
-        assert region.boundary_segments == (Segment(P(0, 2), P(1, 3)),)
+        assert tuple(s for s, _ in region.boundary_segments) == (Segment(P(0, 2), P(1, 3)),)
         chord_line = Line(1, -1, -2)
-        for s in region.boundary_segments:
+        for s, _ in region.boundary_segments:
             assert chord_line.contains(s.p) and chord_line.contains(s.q)
-        contacts = list(region.hull_contacts)
+        contacts = [s for s, *_ in region.hull_contacts]
         assert len(contacts) == 2
         assert Segment(P(1, 3), P(0, 4)) in contacts
         assert Segment(P(0, 4), P(0, 2)) in contacts
@@ -178,7 +179,7 @@ class TestRefitRegion:
     def test_chord_orientation(self):
         g = self.golden_pre_step()
         region = refit_region(g, P(0, 4), P(2, 2))
-        for s in region.boundary_segments:
+        for s, _ in region.boundary_segments:
             assert orientation(P(0, 4), s.p, s.q) == 1
 
     def test_already_matched(self):
@@ -209,7 +210,7 @@ class TestRefitRegion:
         left = Line(1, 1, 4)
         right = Line(2, -1, 8)
         assert len(region.boundary_segments) >= 2
-        for s in region.boundary_segments:
+        for s, _ in region.boundary_segments:
             on_left = left.contains(s.p) and left.contains(s.q)
             on_right = right.contains(s.p) and right.contains(s.q)
             assert on_left or on_right
@@ -268,7 +269,7 @@ class TestFanExtension:
         g = two_piece_map()
         src, dst = P(3, 3), P(1, 1)
         region = refit_region(g, src, dst)
-        for s in region.boundary_segments:
+        for s, _ in region.boundary_segments:
             for x in (s.p, s.q):
                 assert equals(
                     squared_distance(src, x),
@@ -379,11 +380,71 @@ class TestExtendStep:
         src, dst = P(0, 4), P(2, 2)
         region = refit_region(g, src, dst)
         f = extend_step(g, src, dst)
-        for s in region.boundary_segments:
+        for s, _ in region.boundary_segments:
             for k in range(5):
                 t = Fraction(k, 4)
                 x = P(s.p.x + (s.q.x - s.p.x) * t, s.p.y + (s.q.y - s.p.y) * t)
                 assert f.evaluate(x) == g.evaluate(x)
+
+
+def suite_steps():
+    """Every induction step of CANONICAL and a small random suite."""
+    instances = CANONICAL + instance_suite(7, 6, max_points=8)
+    return [step for i in instances for step in induction_steps(i)]
+
+
+class TestCutRecords:
+    """Fan motions, chain ends and cone pins read off each cell's cut."""
+
+    def test_fan_motion_is_the_three_point_solve(self):
+        # The three-point solve is the derivation the fan motion replaces.
+        chords = 0
+        for g, a, b in suite_steps():
+            for seg, m in refit_region(g, a, b).boundary_segments:
+                p, q = seg.p, seg.q
+                assert m == from_three_points(a, b, p, g.evaluate(p), q, g.evaluate(q))
+                chords += 1
+        assert chords > 0
+
+    def test_chain_ends_lie_on_the_region_boundary(self):
+        chains = 0
+        for g, a, b in suite_steps():
+            region = refit_region(g, a, b)
+            for chain, g_pivot, g_swing in _contact_chains(g.domain, region.hull_contacts):
+                assert sign(omega_excess(g, a, b, chain[0])) == 0
+                assert sign(omega_excess(g, a, b, chain[-1])) == 0
+                assert g_pivot == g.evaluate(chain[0])
+                assert g_swing == g.evaluate(chain[-1])
+                chains += 1
+        assert chains > 0
+
+    def test_one_locate_per_step(self, monkeypatch):
+        steps = suite_steps()
+        g, a, _ = steps[0]
+        steps.append((g, a, g.evaluate(a)))
+        calls = []
+        locate = PLMap.locate
+
+        def counted(self, p):
+            calls.append(p)
+            return locate(self, p)
+
+        monkeypatch.setattr(PLMap, "locate", counted)
+        for g, a, b in steps:
+            before = len(calls)
+            extend_step_traced(g, a, b)
+            assert len(calls) - before == 1
+
+    def test_region_swallowing_the_domain(self):
+        # The second pair's cut, x = 4, touches the triangle only at its
+        # corner (4, 0), not at the hull's first vertex (0, 0), so the
+        # one contact chain runs round the boundary across the seam.
+        i = inst([(4, 0), (0, 0), (0, 4)], [(4, 0), (8, 0), (8, 4)])
+        f, trace = extend_all_traced(i)
+        assert (trace.steps[0].chains, trace.steps[0].rigid_chains) == (1, 1)
+        assert f.validate().all_passed
+        for a, b in i.pairs():
+            assert f.evaluate(a) == b
 
 
 class TestExtendAll:
