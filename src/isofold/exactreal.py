@@ -14,7 +14,7 @@ cannot hide; in the latter case the value is exactly zero.  There is no epsilon 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 __all__ = [
     "ExactNumber",
@@ -33,6 +33,7 @@ __all__ = [
     "sign",
     "compare",
     "equals",
+    "common_denominator",
     "approximate",
     "decimal_string",
     "scientific_string",
@@ -657,6 +658,20 @@ def compare(x, y) -> int:
 
 def equals(x, y) -> bool:
     return compare(x, y) == EQ
+
+
+def common_denominator(values):
+    """(entries, d) with values[i] == entries[i] / d and d > 0.
+
+    When every value is rational the entries are ints and d is the lcm
+    of the denominators; otherwise they are the values' normal forms
+    over d = 1, so that one integer expression serves both.
+    """
+    values = [number(v) for v in values]
+    if all(type(v) is Fraction for v in values):
+        d = lcm(*(v.denominator for v in values))
+        return [v.numerator * (d // v.denominator) for v in values], d
+    return values, 1
 
 
 def approximate(x, error_bound) -> Fraction:

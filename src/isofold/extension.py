@@ -294,13 +294,13 @@ def _hull_edge_of(hull: ConvexPolygon, x: Point, y: Point):
     return None
 
 
-def fan_extension(a_n: Point, b_n: Point, region: RefitRegion, g: PLMap):
+def fan_extension(a_n: Point, region: RefitRegion):
     """Fan triangles over the region's chords, each with its fan motion.
 
     Each chord [p, q] spans the triangle (a_n, p, q).  Its fan motion
     compose(g_m, reflection in the cut) sends a_n to g_m(g_m^-1(b_n)) =
     b_n and fixes the cut, so it is the unique motion with a_n -> b_n,
-    p -> g(p), q -> g(q).  The chords carry it; b_n and g are not read.
+    p -> g(p), q -> g(q).  The chords carry it.
     """
     out = []
     for seg, m in region.boundary_segments:
@@ -543,7 +543,7 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
         pieces.append((part, g.restrict_motion(t)))
     first_new = len(pieces)
 
-    fans = fan_extension(a_n, b_n, region, g)
+    fans = fan_extension(a_n, region)
     trace.chords = len(fans)
     pieces.extend(fans)
 

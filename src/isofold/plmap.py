@@ -130,7 +130,14 @@ class PLMap:
 
     def locate(self, p: Point) -> int:
         """Index of the first triangle containing p (boundary inclusive)."""
-        x, y, w = homogeneous(p)
+        return self.locate_homogeneous(*homogeneous(p))
+
+    def locate_homogeneous(self, x, y, w) -> int:
+        """``locate`` for the point (x/w, y/w), given with w > 0.
+
+        Ints for a rational point, as ``geometry.homogeneous`` gives
+        them, skip building a Point and reducing its coordinates.
+        """
         for t, (e0, e1, e2) in enumerate(self._cell_forms()):
             if (
                 sign(e0[0] * x + e0[1] * y - e0[2] * w) >= 0

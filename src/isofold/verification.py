@@ -11,11 +11,19 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .exactreal import GT, approximate, compare, decimal_string, number, scientific_string
+from .exactreal import (
+    approximate,
+    common_denominator,
+    decimal_string,
+    number,
+    scientific_string,
+    sign,
+)
 from .extension import Instance, Violation
-from .geometry import Point, squared_distance, triangulate_fan
+from .geometry import Point, homogeneous, squared_distance
 from .plmap import OutsideDomain, PLMap
 
 __all__ = [
@@ -28,9 +36,11 @@ __all__ = [
 ]
 
 DENOMINATOR_BITS = 16
+SCALE = 1 << DENOMINATOR_BITS
 # A fan triangle is chosen by comparing a random fraction on this grid
 # against the domain's cumulative area.
 CHOICE_BITS = 32
+CHOICES = 1 << CHOICE_BITS
 # A failed sampled check reports its first few failing samples only; the
 # verdict needs one, and a broken map can fail nearly every sample.
 MAX_WITNESSES = 10
@@ -124,70 +134,114 @@ def audit_interpolation(f: PLMap, inst: Instance) -> AuditReport:
 
 
 def _fan(domain):
-    """The domain's fan triangles a, b, c from its first vertex, as
-    (cumulative area2, a, b - a, c - a) with exact coordinate pairs."""
-    fan = []
+    """The domain's fan from its first vertex, over one denominator.
+
+    Returns (w, pieces).  The vertices are scaled to a common
+    denominator w0, the lcm of their homogeneous ones, so their
+    numerators are ints for a rational domain (exact numbers
+    otherwise); w = w0 * 2^DENOMINATOR_BITS is the denominator of every
+    sample.  Each fan triangle a, b, c is a piece (cumulative area2,
+    a * 2^DENOMINATOR_BITS, b - a, c - a) in those numerators, so the
+    areas carry a factor w0^2.
+    """
+    coords = [homogeneous(v) for v in domain.vertices]
+    w0 = lcm(*(w for _, _, w in coords))
+    (ax, ay), *rest = [(x * (w0 // w), y * (w0 // w)) for x, y, w in coords]
+    pieces = []
     total = 0
-    for tri in triangulate_fan(domain, domain.vertices[0]):
-        a, b, c = tri.vertices
-        total = total + tri.area2()
-        fan.append((total, (a.x, a.y), (b.x - a.x, b.y - a.y), (c.x - a.x, c.y - a.y)))
-    return fan
+    for (bx, by), (cx, cy) in zip(rest, rest[1:]):
+        bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
+        total = total + (bx * cy - by * cx)
+        pieces.append((total, (ax * SCALE, ay * SCALE), (bx, by), (cx, cy)))
+    return w0 * SCALE, pieces
 
 
-def _sample_point(rng: random.Random, fan) -> Point:
-    """A point of the domain with fan triangles fan, drawn without rejection.
+def _sample(rng: random.Random, fan):
+    """A point of the domain, drawn from its fan without rejection.
 
     A fan triangle is picked with probability proportional to its area,
     then the point a + u(b - a) + v(c - a) with u and v on the 2^-16
-    grid, folded to (1 - u, 1 - v) when u + v > 1.
+    grid, folded to (1 - u, 1 - v) when u + v > 1.  Returns its
+    numerators (X, Y) over the fan's w.
     """
-    r = Fraction(rng.getrandbits(CHOICE_BITS), 1 << CHOICE_BITS) * fan[-1][0]
-    _, (ax, ay), (bx, by), (cx, cy) = next(piece for piece in fan if r < piece[0])
-    scale = 1 << DENOMINATOR_BITS
-    u = rng.randint(0, scale)
-    v = rng.randint(0, scale)
-    if u + v > scale:
-        u, v = scale - u, scale - v
-    u = Fraction(u, scale)
-    v = Fraction(v, scale)
-    return Point(ax + u * bx + v * cx, ay + u * by + v * cy)
+    pieces = fan[1]
+    r = rng.getrandbits(CHOICE_BITS) * pieces[-1][0]
+    _, (ax, ay), (bx, by), (cx, cy) = next(
+        piece for piece in pieces if r < piece[0] * CHOICES
+    )
+    u = rng.randint(0, SCALE)
+    v = rng.randint(0, SCALE)
+    if u + v > SCALE:
+        u, v = SCALE - u, SCALE - v
+    return ax + u * bx + v * cx, ay + u * by + v * cy
+
+
+def _sample_point(rng: random.Random, fan) -> Point:
+    """The next sample of rng as a Point."""
+    w = fan[0]
+    x, y = _sample(rng, fan)
+    return Point(number(x) / w, number(y) / w)
+
+
+def _image(form, x, y, w):
+    """(P_x, P_y, d): P/(d w) is the image of (x/w, y/w) under the motion
+    with common_denominator form form."""
+    (r00, r01, r10, r11, tx, ty), d = form
+    return r00 * x + r01 * y + tx * w, r10 * x + r11 * y + ty * w, d
 
 
 def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
     """Sampled pairwise non-expansiveness over the domain.
 
     Points are drawn inside the domain from its fan triangles, so every
-    comparison stays exact.  Sampling stops at the MAX_WITNESSES-th
-    failing sample.
+    comparison stays exact.  Samples and motions are integer numerators
+    over common denominators (exact numbers where the map is
+    irrational): with images P/(d_p w) and Q/(d_q w), a pair fails when
+    |P d_q - Q d_p|^2 exceeds (d_p d_q)^2 |(X_p, Y_p) - (X_q, Y_q)|^2,
+    which is its squared distances scaled by (d_p d_q w)^2.  A failing
+    pair is drawn again as Points from a second generator for its
+    witness.  Sampling stops at the MAX_WITNESSES-th failing sample.
     """
     rng = random.Random(cfg.rng_seed)
+    replay = random.Random(cfg.rng_seed)
+    replayed = 0
     fan = _fan(f.domain)
+    w = fan[0]
+    forms = [
+        common_denominator((m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)) for m in f.motions
+    ]
+    rows = f.triangles
     violations = []
     for k in range(cfg.sample_count):
         if len(violations) == MAX_WITNESSES:
             break
-        p = _sample_point(rng, fan)
-        q = _sample_point(rng, fan)
-        gap2 = squared_distance(p, q)
+        xp, yp = _sample(rng, fan)
+        xq, yq = _sample(rng, fan)
         try:
-            image_gap2 = squared_distance(f.evaluate(p), f.evaluate(q))
+            px, py, dp = _image(forms[rows[f.locate_homogeneous(xp, yp, w)][3]], xp, yp, w)
+            qx, qy, dq = _image(forms[rows[f.locate_homogeneous(xq, yq, w)][3]], xq, yq, w)
         except OutsideDomain:
-            violations.append({
-                "sample": k,
-                "p": _fmt_point(p),
-                "q": _fmt_point(q),
-                "error": "outside domain",
-            })
-            continue
-        if compare(image_gap2, gap2) == GT:
-            violations.append({
-                "sample": k,
-                "p": _fmt_point(p),
-                "q": _fmt_point(q),
-                "gap_squared": _fmt(gap2),
-                "image_gap_squared": _fmt(image_gap2),
-            })
+            outside = True
+        else:
+            ex, ey = px * dq - qx * dp, py * dq - qy * dp
+            gx, gy = xp - xq, yp - yq
+            if sign(ex * ex + ey * ey - (dp * dq) ** 2 * (gx * gx + gy * gy)) <= 0:
+                continue
+            outside = False
+        for _ in range(2 * (k - replayed)):
+            _sample(replay, fan)
+        replayed = k + 1
+        p = _sample_point(replay, fan)
+        q = _sample_point(replay, fan)
+        witness = {"sample": k, "p": _fmt_point(p), "q": _fmt_point(q)}
+        if outside:
+            witness["error"] = "outside domain"
+        else:
+            witness["gap_squared"] = _fmt(squared_distance(p, q))
+            witness["image_gap_squared"] = _fmt(
+                squared_distance(f.evaluate(p), f.evaluate(q))
+            )
+        violations.append(witness)
     return AuditReport([("lipschitz_exact", not violations, violations or None)])
 
 

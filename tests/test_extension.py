@@ -256,7 +256,7 @@ class TestFanExtension:
         dom = ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)])
         g = base_case(P(0, 0), P(0, 0), dom)
         region = refit_region(g, P(0, 4), P(2, 2))
-        fans = fan_extension(P(0, 4), P(2, 2), region, g)
+        fans = fan_extension(P(0, 4), region)
         assert len(fans) == 1
         tri, m = fans[0]
         assert tri.v0 == P(0, 4)

@@ -9,17 +9,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from isofold import sqrt, verification
+from isofold.exactreal import GT, compare
 from isofold.extension import Instance, Violation, check_nonexpansive, extend_all
-from isofold.geometry import ConvexPolygon, Point, Triangle
+from isofold.geometry import ConvexPolygon, Point, Triangle, squared_distance, triangulate_fan
 from isofold.motions import Motion
-from isofold.plmap import PLMap, assemble
+from isofold.plmap import OutsideDomain, PLMap, assemble
 from isofold.verification import (
+    CHOICE_BITS,
+    DENOMINATOR_BITS,
+    MAX_WITNESSES,
     AuditConfig,
+    AuditReport,
+    _fmt,
+    _fmt_point,
     audit_interpolation,
     audit_lipschitz,
     audit_structure,
     brute_force_feasibility,
 )
+
+from instancegen import instance_suite, random_instance
+from test_acceptance import CANONICAL
+from test_fileio import sqrt2_map
 
 
 def P(x, y) -> Point:
@@ -126,6 +138,148 @@ class TestLipschitz:
         p1 = _sample_point(random.Random(1), fan)
         p2 = _sample_point(random.Random(2), fan)
         assert p1 != p2
+
+
+def reference_audit_lipschitz(f: PLMap, cfg: AuditConfig) -> AuditReport:
+    """The sampled audit as a loop over Points with Fraction coordinates.
+
+    The same draws as ``audit_lipschitz``: a fan triangle by a random
+    fraction of the domain's area, then u and v on the 2^-16 grid.
+    """
+    rng = random.Random(cfg.rng_seed)
+    fan = []
+    total = 0
+    for tri in triangulate_fan(f.domain, f.domain.vertices[0]):
+        a, b, c = tri.vertices
+        total = total + tri.area2()
+        fan.append((total, (a.x, a.y), (b.x - a.x, b.y - a.y), (c.x - a.x, c.y - a.y)))
+
+    def sample_point():
+        r = Fraction(rng.getrandbits(CHOICE_BITS), 1 << CHOICE_BITS) * fan[-1][0]
+        _, (ax, ay), (bx, by), (cx, cy) = next(piece for piece in fan if r < piece[0])
+        scale = 1 << DENOMINATOR_BITS
+        u = rng.randint(0, scale)
+        v = rng.randint(0, scale)
+        if u + v > scale:
+            u, v = scale - u, scale - v
+        u = Fraction(u, scale)
+        v = Fraction(v, scale)
+        return Point(ax + u * bx + v * cx, ay + u * by + v * cy)
+
+    violations = []
+    for k in range(cfg.sample_count):
+        if len(violations) == MAX_WITNESSES:
+            break
+        p = sample_point()
+        q = sample_point()
+        gap2 = squared_distance(p, q)
+        try:
+            image_gap2 = squared_distance(f.evaluate(p), f.evaluate(q))
+        except OutsideDomain:
+            violations.append({
+                "sample": k,
+                "p": _fmt_point(p),
+                "q": _fmt_point(q),
+                "error": "outside domain",
+            })
+            continue
+        if compare(image_gap2, gap2) == GT:
+            violations.append({
+                "sample": k,
+                "p": _fmt_point(p),
+                "q": _fmt_point(q),
+                "gap_squared": _fmt(gap2),
+                "image_gap_squared": _fmt(image_gap2),
+            })
+    return AuditReport([("lipschitz_exact", not violations, violations or None)])
+
+
+def stretched(f: PLMap, index: int = 0) -> PLMap:
+    """f with the diagonal of motion index scaled by 3/2."""
+    motions = list(f.motions)
+    m = motions[index]
+    half = Fraction(3, 2)
+    motions[index] = Motion.unchecked(
+        ((half * m.r00, m.r01), (m.r10, half * m.r11)), (m.tx, m.ty)
+    )
+    return PLMap(f.domain, f.vertices, f.triangles, motions)
+
+
+def tiling_hole_map() -> PLMap:
+    """Cells with the domain's area, one of them outside the domain."""
+    dom = ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)])
+    ident = Motion.identity()
+    return assemble(dom, [
+        (Triangle(P(0, 0), P(2, 0), P(0, 2)), ident),
+        (Triangle(P(5, 0), P(9, 0), P(5, 3)), ident),
+    ])
+
+
+def rotation_map(scale=1) -> PLMap:
+    """A rotation by 45 degrees, its diagonal times scale, on a rational triangle."""
+    s = sqrt(2) / 2
+    dom = ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)])
+    turn = Motion.unchecked(((scale * s, -s), (s, scale * s)), (1, "1/3"))
+    return assemble(dom, [(Triangle(P(0, 0), P(4, 0), P(0, 4)), turn)])
+
+
+class TestLipschitzReference:
+    """The integer audit gives the Point loop's report, byte for byte."""
+
+    @staticmethod
+    def same_report(f, cfg):
+        report = audit_lipschitz(f, cfg)
+        assert report.to_json() == reference_audit_lipschitz(f, cfg).to_json()
+        return report
+
+    def test_tool_maps(self):
+        for k, instance in enumerate(CANONICAL + instance_suite(7, 6, max_points=8)):
+            cfg = AuditConfig(sample_count=300, rng_seed=k)
+            assert self.same_report(extend_all(instance), cfg).all_passed
+
+    def test_stretched_maps(self):
+        failed = 0
+        for seed in range(40):
+            f = stretched(extend_all(random_instance(random.Random(seed), 7)))
+            cfg = AuditConfig(sample_count=300, rng_seed=seed)
+            failed += not self.same_report(f, cfg).all_passed
+        assert failed >= 30
+
+    def test_outside_domain(self):
+        report = self.same_report(tiling_hole_map(), AuditConfig(sample_count=200, rng_seed=3))
+        witnesses = report.checks[0][2]
+        assert len(witnesses) == MAX_WITNESSES
+        assert any(w.get("error") == "outside domain" for w in witnesses)
+
+    def test_irrational_images(self):
+        cfg = AuditConfig(sample_count=100, rng_seed=5)
+        assert self.same_report(sqrt2_map(), cfg).all_passed
+        assert self.same_report(rotation_map(), cfg).all_passed
+        report = self.same_report(rotation_map(Fraction(3, 2)), cfg)
+        assert "." in report.checks[0][2][0]["image_gap_squared"]
+
+
+def test_audit_stays_in_integers(monkeypatch, golden_map):
+    """A passing audit builds no Point and locates each sample once."""
+    points = []
+    locates = []
+    real_point = verification.Point
+    real_locate = PLMap.locate_homogeneous
+
+    def point(*args):
+        points.append(args)
+        return real_point(*args)
+
+    def locate_homogeneous(self, *args):
+        locates.append(args)
+        return real_locate(self, *args)
+
+    monkeypatch.setattr(verification, "Point", point)
+    monkeypatch.setattr(PLMap, "locate_homogeneous", locate_homogeneous)
+    report = audit_lipschitz(golden_map, AuditConfig(sample_count=50, rng_seed=4))
+    assert report.all_passed
+    assert points == []
+    assert len(locates) == 100
 
 
 class TestStructure:
