@@ -34,6 +34,7 @@ __all__ = [
     "compare",
     "equals",
     "common_denominator",
+    "quotient",
     "approximate",
     "decimal_string",
     "scientific_string",
@@ -672,6 +673,18 @@ def common_denominator(values):
         d = lcm(*(v.denominator for v in values))
         return [v.numerator * (d // v.denominator) for v in values], d
     return values, 1
+
+
+def quotient(n, d):
+    """n / d in the normal form of ``number``; d must not be zero.
+
+    Two ints, as the integer forms over ``common_denominator`` and
+    ``geometry.homogeneous`` give them, make one Fraction; an exact
+    numerator or denominator makes the exact quotient.
+    """
+    if type(n) is int and type(d) is int:
+        return Fraction(n, d)
+    return number(div(n, d))
 
 
 def approximate(x, error_bound) -> Fraction:

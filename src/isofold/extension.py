@@ -39,6 +39,7 @@ from .geometry import (
     clip_polygon_halfplane,
     convex_hull,
     homogeneous,
+    line_crossing,
     orientation,
     perpendicular_bisector,
     point_in_polygon,
@@ -409,9 +410,7 @@ def cone_pieces(region: FoldRegion):
         _require(o == 1, "cone walk runs clockwise")
         su, sv = (0, 0) if line is None else (line.side(u), line.side(v))
         if su * sv < 0:
-            vu = line.value(u)
-            t = vu / (vu - line.value(v))
-            w = Point(u.x + t * (v.x - u.x), u.y + t * (v.y - u.y))
+            w = line_crossing(line, u, v)
             out.append((Triangle(apex, u, w), motion_for(su)))
             out.append((Triangle(apex, w, v), motion_for(sv)))
             splits += 1
@@ -442,9 +441,6 @@ class StepTrace:
 @dataclass
 class ExtensionTrace:
     steps: tuple = field(default_factory=tuple)
-
-    def any_fold(self) -> bool:
-        return any(s.folded_chains for s in self.steps)
 
 
 def _contact_chains(hull: ConvexPolygon, contacts):

@@ -2,12 +2,17 @@
 
 Coordinates are exact numbers in the normal form of ``exactreal.number``:
 Fractions, or ExactNumbers where a value is irrational.  Every predicate
-is the exact sign of one expression in them.  Point-in-polygon tests
-evaluate each edge's half-plane as an integer form ``edge_form`` built
-once per edge, against the point's integer ``homogeneous`` coordinates,
-so a rational test is integer arithmetic alone.  Degenerate
-results (empty or lower-dimensional clips, flat hulls) are first-class
-values, not errors, so callers can branch on them without try/except.
+is the exact sign of one integer expression over the points' cached
+``homogeneous`` coordinates (X, Y, W): orientation is the 3x3
+determinant of three homogeneous rows, expanded as an ``edge_form``;
+a line's side is its integer form, built once per line, at (X, Y, W);
+areas are that determinant or the shoelace sum over the vertices'
+common W, turned into a number once; a clip crossing is built from the
+line's two homogeneous values at the edge's ends.  A rational test is
+integer arithmetic alone, and an irrational point's (x, y, 1) makes the
+same expression exact.  Degenerate results (empty or lower-dimensional
+clips, flat hulls) are first-class values, not errors, so callers can
+branch on them without try/except.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .exactreal import compare, number, sign
+from .exactreal import common_denominator, compare, number, quotient, sign
 
 __all__ = [
     "Point",
@@ -34,6 +39,7 @@ __all__ = [
     "orientation",
     "edge_form",
     "homogeneous",
+    "line_crossing",
     "squared_distance",
     "convex_hull",
     "perpendicular_bisector",
@@ -53,13 +59,18 @@ class ApexOutside(ValueError):
 
 
 class Point:
-    """An exact point of the plane."""
+    """An exact point of the plane.
 
-    __slots__ = ("x", "y")
+    Points are immutable: ``homogeneous`` computes a point's integer
+    coordinates on first use and keeps them.
+    """
+
+    __slots__ = ("x", "y", "_h")
 
     def __init__(self, x, y):
         self.x = number(x)
         self.y = number(y)
+        self._h = None
 
     def __eq__(self, other):
         if not isinstance(other, Point):
@@ -78,22 +89,38 @@ class Point:
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p->q->r: +1 counterclockwise, -1 clockwise, 0 flat."""
-    return sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+    return sign(_det(p, q, r))
+
+
+def _det(p: Point, q: Point, r: Point):
+    """The determinant of the homogeneous rows of p, q and r.
+
+    It is twice the signed area of p, q, r times the product of their
+    positive W, expanded along r's row through ``edge_form``.
+    """
+    a, b, c = edge_form(p, q)
+    x, y, w = homogeneous(r)
+    return a * x + b * y - c * w
 
 
 def homogeneous(p: Point):
-    """(X, Y, W) with p = (X/W, Y/W) and W > 0.
+    """(X, Y, W) with p = (X/W, Y/W) and W > 0, computed once per point.
 
     Integers with W the lcm of the denominators for a rational point,
     (x, y, 1) otherwise, so that ``a*X + b*Y - c*W`` is one expression
     for both.
     """
-    x, y = p.x, p.y
-    if p.is_rational:
-        dx, dy = x.denominator, y.denominator
-        w = lcm(dx, dy)
-        return x.numerator * (w // dx), y.numerator * (w // dy), w
-    return x, y, 1
+    h = p._h
+    if h is None:
+        x, y = p.x, p.y
+        if p.is_rational:
+            dx, dy = x.denominator, y.denominator
+            w = lcm(dx, dy)
+            h = x.numerator * (w // dx), y.numerator * (w // dy), w
+        else:
+            h = x, y, 1
+        p._h = h
+    return h
 
 
 def edge_form(p: Point, q: Point):
@@ -136,9 +163,13 @@ class Segment:
 
 
 class Line:
-    """The locus a*x + b*y = c with (a, b) != (0, 0)."""
+    """The locus a*x + b*y = c with (a, b) != (0, 0).
 
-    __slots__ = ("a", "b", "c")
+    The integer form, (a, b, c) over their common denominator, is built
+    on first use and kept.
+    """
+
+    __slots__ = ("a", "b", "c", "_form")
 
     def __init__(self, a, b, c):
         self.a = number(a)
@@ -146,13 +177,23 @@ class Line:
         self.c = number(c)
         if sign(self.a) == 0 and sign(self.b) == 0:
             raise ValueError("line coefficients (a, b) must not both be zero")
+        self._form = None
 
-    def value(self, p: Point):
-        return self.a * p.x + self.b * p.y - self.c
+    def homogeneous_value(self, p: Point):
+        """a*X + b*Y - c*W over the integer form and homogeneous(p).
+
+        That is a*x + b*y - c at p times a positive factor: an int for a
+        rational line and point, an exact number otherwise.
+        """
+        if self._form is None:
+            self._form = tuple(common_denominator((self.a, self.b, self.c))[0])
+        a, b, c = self._form
+        x, y, w = homogeneous(p)
+        return a * x + b * y - c * w
 
     def side(self, p: Point) -> int:
         """Sign of a*x + b*y - c at p; 0 means p lies on the line."""
-        return sign(self.value(p))
+        return sign(self.homogeneous_value(p))
 
     def contains(self, p: Point) -> bool:
         return self.side(p) == 0
@@ -201,9 +242,8 @@ class Triangle:
 
     def area2(self):
         """Twice the signed area (positive for counterclockwise order)."""
-        return (self.v1.x - self.v0.x) * (self.v2.y - self.v0.y) - (
-            self.v1.y - self.v0.y
-        ) * (self.v2.x - self.v0.x)
+        w = homogeneous(self.v0)[2] * homogeneous(self.v1)[2] * homogeneous(self.v2)[2]
+        return quotient(_det(self.v0, self.v1, self.v2), w)
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
@@ -259,12 +299,14 @@ class ConvexPolygon:
         return self._forms
 
     def area2(self):
-        """Twice the area, as the shoelace sum over the edges."""
-        vs = self.vertices
-        total = Fraction(0)
-        for p, q in zip(vs, vs[1:] + vs[:1]):
-            total = total + (p.x * q.y - p.y * q.x)
-        return total
+        """Twice the area: the shoelace sum over the vertices' common W."""
+        hs = [homogeneous(v) for v in self.vertices]
+        w = lcm(*(h[2] for h in hs))
+        scaled = [(x * (w // pw), y * (w // pw)) for x, y, pw in hs]
+        total = sum(
+            x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(scaled, scaled[1:] + scaled[:1])
+        )
+        return quotient(total, w * w)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexPolygon):
@@ -385,12 +427,7 @@ def clip_polygon_halfplane(poly: ConvexPolygon, line: Line, keep_side: int):
         if sides[i] == keep_side or sides[i] == 0:
             out.append(vs[i])
         if sides[i] * sides[j] < 0:
-            vp = line.value(vs[i])
-            vq = line.value(vs[j])
-            t = vp / (vp - vq)
-            out.append(
-                Point(vs[i].x + t * (vs[j].x - vs[i].x), vs[i].y + t * (vs[j].y - vs[i].y))
-            )
+            out.append(line_crossing(line, vs[i], vs[j]))
     cleaned: list[Point] = []
     for p in out:
         if not cleaned or p != cleaned[-1]:
@@ -398,6 +435,22 @@ def clip_polygon_halfplane(poly: ConvexPolygon, line: Line, keep_side: int):
     if len(cleaned) > 1 and cleaned[0] == cleaned[-1]:
         cleaned.pop()
     return ConvexPolygon(cleaned)
+
+
+def line_crossing(line: Line, p: Point, q: Point) -> Point:
+    """The point where segment pq crosses line, p and q strictly apart.
+
+    With hp and hq the line's homogeneous values at p and q, the
+    crossing is hp*homogeneous(q) - hq*homogeneous(p): its own value is
+    hp*hq - hq*hp = 0, and its W = hp*qw - hq*pw is not zero since hp
+    and hq have opposite signs.
+    """
+    hp = line.homogeneous_value(p)
+    hq = line.homogeneous_value(q)
+    px, py, pw = homogeneous(p)
+    qx, qy, qw = homogeneous(q)
+    w = hp * qw - hq * pw
+    return Point(quotient(hp * qx - hq * px, w), quotient(hp * qy - hq * py, w))
 
 
 def triangulate_fan(poly: ConvexPolygon, apex: Point):
@@ -483,14 +536,8 @@ def segment_intersection(s1: Segment, s2: Segment):
             return Point(lo.x, lo.y)
         return Segment(Point(lo.x, lo.y), Point(hi.x, hi.y))
     if d1 * d2 < 0 and d3 * d4 < 0:
-        # Proper crossing: parameter along s1 against the line of s2.
-        la = s2.q.y - s2.p.y
-        lb = s2.p.x - s2.q.x
-        line = Line(la, lb, la * s2.p.x + lb * s2.p.y)
-        vp = line.value(s1.p)
-        vq = line.value(s1.q)
-        t = vp / (vp - vq)
-        return Point(s1.p.x + t * (s1.q.x - s1.p.x), s1.p.y + t * (s1.q.y - s1.p.y))
+        # Proper crossing: s1 against the line of s2.
+        return line_crossing(Line(*edge_form(s2.p, s2.q)), s1.p, s1.q)
     # Touching: at most one shared endpoint-on-segment point.
     for cand in (s1.p, s1.q):
         if point_on_segment(cand, s2):

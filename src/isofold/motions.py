@@ -86,10 +86,6 @@ class Motion:
     def rows(self):
         return ((self.r00, self.r01), (self.r10, self.r11))
 
-    @property
-    def translation_part(self):
-        return (self.tx, self.ty)
-
     def determinant_sign(self) -> int:
         if self._det is None:
             self._det = sign(self.r00 * self.r11 - self.r01 * self.r10)

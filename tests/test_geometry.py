@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from isofold.geometry import (
     convex_hull,
     edge_form,
     homogeneous,
+    line_crossing,
     orientation,
     perpendicular_bisector,
     point_in_polygon,
@@ -35,6 +37,8 @@ from isofold.geometry import (
     triangulate_fan,
 )
 from isofold.exactreal import sign
+from isofold.extension import FoldRegion, cone_pieces
+from isofold.motions import Motion
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=8)
 
@@ -492,3 +496,192 @@ class TestTriangle:
     def test_area2_signed(self):
         assert Triangle(P(0, 0), P(4, 0), P(0, 4)).area2() == 16
         assert Triangle(P(0, 0), P(0, 4), P(4, 0)).area2() == -16
+
+
+# The Fraction expressions that the integer kernel replaced, kept as the
+# references it must equal.
+
+
+def ref_orientation(p: Point, q: Point, r: Point) -> int:
+    return sign((q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x))
+
+
+def ref_value(line: Line, p: Point):
+    return line.a * p.x + line.b * p.y - line.c
+
+
+def ref_triangle_area2(t: Triangle):
+    return (t.v1.x - t.v0.x) * (t.v2.y - t.v0.y) - (t.v1.y - t.v0.y) * (t.v2.x - t.v0.x)
+
+
+def ref_polygon_area2(poly: ConvexPolygon):
+    vs = poly.vertices
+    total = Fraction(0)
+    for p, q in zip(vs, vs[1:] + vs[:1]):
+        total = total + (p.x * q.y - p.y * q.x)
+    return total
+
+
+def ref_crossing(line: Line, p: Point, q: Point) -> Point:
+    vp = ref_value(line, p)
+    t = vp / (vp - ref_value(line, q))
+    return Point(p.x + t * (q.x - p.x), p.y + t * (q.y - p.y))
+
+
+def ref_clip_vertices(poly: ConvexPolygon, line: Line, keep: int):
+    """The old clip's vertex walk, for a line that strictly splits poly."""
+    vs = poly.vertices
+    sides = [sign(ref_value(line, v)) for v in vs]
+    out = []
+    for i in range(len(vs)):
+        j = (i + 1) % len(vs)
+        if sides[i] in (keep, 0):
+            out.append(vs[i])
+        if sides[i] * sides[j] < 0:
+            out.append(ref_crossing(line, vs[i], vs[j]))
+    return out
+
+
+def fresh_homogeneous(p: Point):
+    """(X, Y, W) with W the lcm of the denominators, computed anew."""
+    if not p.is_rational:
+        return p.x, p.y, 1
+    w = lcm(p.x.denominator, p.y.denominator)
+    return int(p.x * w), int(p.y * w), w
+
+
+wide = st.builds(Fraction, st.integers(-(2**72), 2**72), st.integers(1, 2**64))
+small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
+R2 = sqrt(2)
+# a + b*sqrt(2) with small rational a and b; b == 0 gives a rational.
+root2 = st.builds(lambda a, b: a + b * R2 if b else a, small, small)
+tiny = st.sampled_from([Fraction(0), Fraction(1, 2**64), Fraction(-1, 2**64)])
+
+
+def point(xs):
+    return st.builds(Point, xs, xs)
+
+
+@st.composite
+def near_collinear(draw, xs):
+    """p, q and r within a tiny offset of the line pq, often on it."""
+    p, q = draw(point(xs)), draw(point(xs))
+    t, e = draw(xs), draw(tiny)
+    return p, q, Point(p.x + t * (q.x - p.x) + e, p.y + t * (q.y - p.y) - e)
+
+
+@st.composite
+def line_and_points(draw, xs):
+    """A drawn line, two points on it, one within a tiny offset, one drawn."""
+    a, b, c = draw(xs), draw(xs), draw(xs)
+    if a == 0 and b == 0:
+        b = Fraction(1)
+
+    def on(t):
+        return Point(t, (c - a * t) / b) if b != 0 else Point(c / a, t)
+
+    near, e = on(draw(xs)), draw(tiny)
+    near = Point(near.x + e, near.y - e)
+    return Line(a, b, c), [on(draw(xs)), on(draw(xs)), near, draw(point(xs))]
+
+
+class TestIntegerKernel:
+    """The integer kernel equals the Fraction expressions it replaced."""
+
+    def check_triple(self, p, q, r):
+        for a, b, c in ((p, q, r), (q, r, p), (r, q, p)):
+            assert orientation(a, b, c) == ref_orientation(a, b, c)
+        if orientation(p, q, r) != 0:
+            t = Triangle(p, q, r)
+            assert t.area2() == ref_triangle_area2(t)
+
+    @given(near_collinear(wide))
+    @settings(max_examples=120, deadline=None)
+    def test_orientation_and_triangle_area_wide(self, triple):
+        self.check_triple(*triple)
+
+    @given(near_collinear(root2))
+    @settings(max_examples=20, deadline=None)
+    def test_orientation_and_triangle_area_sqrt2(self, triple):
+        self.check_triple(*triple)
+
+    def check_line(self, line, points):
+        for p in points:
+            assert line.side(p) == sign(ref_value(line, p))
+        assert line.side(points[0]) == line.side(points[1]) == 0
+        for p in points:
+            for q in points:
+                if line.side(p) * line.side(q) < 0:
+                    assert line_crossing(line, p, q) == ref_crossing(line, p, q)
+
+    @given(line_and_points(wide))
+    @settings(max_examples=100, deadline=None)
+    def test_line_side_and_crossing_wide(self, drawn):
+        self.check_line(*drawn)
+
+    @given(line_and_points(root2))
+    @settings(max_examples=12, deadline=None)
+    def test_line_side_and_crossing_sqrt2(self, drawn):
+        self.check_line(*drawn)
+
+    def check_polygon(self, points, cuts):
+        hull = convex_hull(points)
+        if not isinstance(hull, ConvexPolygon):
+            return
+        assert hull.area2() == ref_polygon_area2(hull)
+        a, b, c = hull.vertices[:3]
+        # Every line through this interior point strictly splits the hull;
+        # the one through a also meets the hull at a vertex.
+        inside = P((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3)
+        for v in [a, *cuts]:
+            if v == inside:
+                continue
+            line = Line(*edge_form(inside, v))
+            for keep in (-1, 1):
+                got = clip_polygon_halfplane(hull, line, keep)
+                assert list(got.vertices) == ref_clip_vertices(hull, line, keep)
+                assert got.area2() == ref_polygon_area2(got)
+                for x in got.vertices:
+                    assert homogeneous(x) == fresh_homogeneous(x)
+
+    @given(
+        st.lists(point(wide), min_size=3, max_size=7),
+        st.lists(point(wide), max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_polygon_area_and_clip_wide(self, points, cuts):
+        self.check_polygon(points, cuts)
+
+    @given(
+        st.lists(point(root2), min_size=3, max_size=5),
+        st.lists(point(root2), max_size=1),
+    )
+    @settings(max_examples=10, deadline=None)
+    def test_polygon_area_and_clip_sqrt2(self, points, cuts):
+        self.check_polygon(points, cuts)
+
+    @given(st.lists(point(wide), min_size=3, max_size=3), wide)
+    @settings(max_examples=60, deadline=None)
+    def test_cone_split_point(self, corners, s):
+        apex, u, v = corners
+        if orientation(apex, u, v) != 1:
+            return
+        # A fold line through the apex and a point strictly inside [u, v].
+        s = Fraction(1, 2) + (s - int(s)) / 3
+        inside = P(u.x + s * (v.x - u.x), u.y + s * (v.y - u.y))
+        line = Line(*edge_form(apex, inside))
+        rigid, reflected = Motion.identity(), Motion.translation(1, 0)
+        region = FoldRegion([apex, u, v], u, v, rigid, line, reflected)
+        pieces, splits = cone_pieces(region)
+        assert splits == 1
+        (first, m1), (second, m2) = pieces
+        assert first.v2 == second.v1 == ref_crossing(line, u, v) == inside
+        assert (m1, m2) == (rigid, reflected)
+
+    @given(st.one_of(point(wide), point(root2)))
+    @settings(max_examples=80, deadline=None)
+    def test_homogeneous_cache(self, p):
+        h = homogeneous(p)
+        assert homogeneous(p) is h
+        assert h == fresh_homogeneous(p)
+        assert h[2] > 0
