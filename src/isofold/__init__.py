@@ -36,19 +36,16 @@ from .geometry import (
     clip_polygon_halfplane,
     convex_hull,
     orientation,
-    perpendicular_bisector,
     point_in_polygon,
     point_on_segment,
     segment_intersection,
     squared_distance,
-    triangulate_fan,
 )
 from .motions import (
     Motion,
     compose,
     from_three_points,
     from_two_pairs,
-    line_preimage,
     reflection_across_line,
 )
 from .plmap import OutsideDomain, PLMap, ValidationReport, assemble

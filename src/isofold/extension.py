@@ -10,12 +10,15 @@ with the hull boundary by rigid pieces, folded once where needed, and
 merges the cells of each motion it touched into one convex piece
 wherever their union is convex; ``assemble`` fans the pieces.
 
-In a cell with motion g_m, |b_n - g(x)|^2 - |a_n - x|^2 is minus the
-value at x of the cell's cut, the bisector of a_n and g_m^-1(b_n), so
-the region there is the cut's a_n side, where the new map is g_m after
-the reflection in the cut.  ``refit_region`` hands on each chord with
-that fan motion and each hull contact with its cell's motion and which
-ends lie on the cut; fans, chains and cones read them, and a step
+For a motion g, |b - g(x)|^2 - |a - x|^2 is affine in x, so its zero
+set is a line, built straight from g, a and b by ``cut_line``, whose +1
+side is where |b - g(x)| > |a - x|.  In a cell with motion g_m the
+region is the +1 side of cut_line(g_m, a_n, b_n), and there the new map
+is g_m after the reflection in that cut.  A cone's fold line is
+cut_line(rigid, swing, g(swing)), where the rigid part and the true
+image of the swing point agree.  ``refit_region`` hands on each chord
+with its fan motion and each hull contact with its cell's motion and
+which ends lie on the cut; fans, chains and cones read them, and a step
 locates a_n alone.
 
 All branch decisions are exact.  With rational input the whole pipeline
@@ -33,6 +36,7 @@ from .exactreal import compare, equals, sign
 from .geometry import (
     ConvexPolygon,
     DegenerateHull,
+    Line,
     Point,
     Segment,
     Triangle,
@@ -41,12 +45,11 @@ from .geometry import (
     homogeneous,
     line_crossing,
     orientation,
-    perpendicular_bisector,
     point_in_polygon,
     squared_distance,
     Location,
 )
-from .motions import Motion, compose, from_two_pairs, line_preimage, reflection_across_line
+from .motions import Motion, compose, from_two_pairs, reflection_across_line
 from .plmap import PLMap, assemble, motion_ids
 
 __all__ = [
@@ -64,7 +67,7 @@ __all__ = [
     "ExtensionTrace",
     "check_nonexpansive",
     "base_case",
-    "pullback_center",
+    "cut_line",
     "refit_region",
     "fan_extension",
     "fold_boundary_region",
@@ -191,9 +194,20 @@ def base_case(a1: Point, b1: Point, domain: ConvexPolygon) -> PLMap:
     return assemble(domain, [(domain, shift)])
 
 
-def pullback_center(g_i: Motion, b_n: Point) -> Point:
-    """The point whose distance to x equals |b_n - g_i(x)| for all x."""
-    return g_i.inverse().apply(b_n)
+def cut_line(g: Motion, a: Point, b: Point) -> Line | None:
+    """The line |b - g(x)| = |a - x|, whose +1 side is |b - g(x)| > |a - x|.
+
+    With g(x) = R x + t and d = t - b, R orthogonal makes
+    |b - g(x)|^2 - |a - x|^2 the affine 2 (R^T d + a).x + |d|^2 - |a|^2.
+    R^T d + a = R^T (g(a) - b) vanishes exactly when g(a) = b, and then
+    the difference is constant: None.
+    """
+    dx, dy = g.tx - b.x, g.ty - b.y
+    u = g.r00 * dx + g.r10 * dy + a.x
+    v = g.r01 * dx + g.r11 * dy + a.y
+    if sign(u) == 0 and sign(v) == 0:
+        return None
+    return Line(u * 2, v * 2, a.x * a.x + a.y * a.y - dx * dx - dy * dy)
 
 
 class RefitRegion:
@@ -205,9 +219,10 @@ class RefitRegion:
     region, in index order: the cell's own Triangle when the region
     misses it, else the clipped ConvexPolygon.
     boundary_segments: (chord, fan motion) for every piece with an edge
-    on its cut.  The chord is that edge, oriented so the new source sees
-    it counterclockwise; the fan motion is compose(g_m, reflection in
-    the cut), built once per cut motion.
+    on its cut, cut_line(g_m, a_n, b_n) for the cell's motion g_m.  The
+    chord is that edge, oriented so the new source sees it
+    counterclockwise; the fan motion is compose(g_m, reflection in the
+    cut), built once per cut motion.
     hull_contacts: (segment, hull edge index, g_m, p on cut, q on cut)
     for every piece edge on the domain boundary other than a chord.
     """
@@ -230,17 +245,14 @@ class RefitRegion:
 
 
 def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
-    """Split each cell once along its motion's cut (one bisector per motion).
+    """Split each cell once along its motion's cut (one cut per motion).
 
-    Checking g(a_n) != b_n is the step's only point location.
+    The region is each cut's +1 side.  Checking g(a_n) != b_n is the
+    step's only point location.
     """
     if g.evaluate(a_n) == b_n:
         raise TargetAlreadyMatched("the map already interpolates this pair")
-    cuts = []
-    for motion in g.motions:
-        c = pullback_center(motion, b_n)
-        line = None if c == a_n else perpendicular_bisector(a_n, c)
-        cuts.append(None if line is None else (line, line.side(a_n)))
+    cuts = [cut_line(motion, a_n, b_n) for motion in g.motions]
     fans = {}
     pieces = []
     outside = []
@@ -248,15 +260,14 @@ def refit_region(g: PLMap, a_n: Point, b_n: Point) -> RefitRegion:
     contacts = []
     for t, row in enumerate(g.triangles):
         cell = g.cell(t)
-        cut = cuts[row[3]]
-        piece = None if cut is None else clip_polygon_halfplane(cell, *cut)
+        line = cuts[row[3]]
+        piece = None if line is None else clip_polygon_halfplane(cell, line, 1)
         if not isinstance(piece, ConvexPolygon):
             outside.append((t, cell))
             continue
-        line, keep = cut
         motion = g.motions[row[3]]
         pieces.append((t, piece))
-        rest = clip_polygon_halfplane(cell, line, -keep)
+        rest = clip_polygon_halfplane(cell, line, -1)
         if isinstance(rest, ConvexPolygon):
             outside.append((t, rest))
         vs = piece.vertices
@@ -343,8 +354,9 @@ def fold_boundary_region(
     cone is the vertex walk of the region, apex (= a_n) first.  The
     rigid part pins a_n -> b_n and pivot -> g_pivot; if it already
     carries swing to g_swing there is no fold, otherwise the cone is
-    folded across the line through a_n that maps onto the bisector of
-    the two candidate swing images.
+    folded across cut_line(rigid, swing, g_swing), where
+    |g_swing - rigid(x)| = |swing - x|.  That line passes through a_n,
+    since rigid(a_n) = b_n and |b_n - g_swing| = |a_n - swing|.
     """
     cone = tuple(cone)
     if cone[0] != a_n:
@@ -369,9 +381,8 @@ def fold_boundary_region(
     side_true = orientation(b_n, g_pivot, g_swing)
     side_plus = orientation(b_n, g_pivot, plus.apply(swing))
     rigid = plus if side_plus * side_true >= 0 else minus
-    fold_image = perpendicular_bisector(rigid.apply(swing), g_swing)
-    _require(fold_image.side(b_n) == 0, "fold line must pass through the target")
-    fold_line = line_preimage(rigid, fold_image)
+    fold_line = cut_line(rigid, swing, g_swing)
+    _require(fold_line is not None, "the rigid part lands the swing: no fold line")
     _require(fold_line.side(a_n) == 0, "fold line must pass through the source")
     reflected = compose(rigid, reflection_across_line(fold_line))
     _require(reflected.apply(swing) == g_swing, "fold fails to land the swing")

@@ -55,7 +55,9 @@ __all__ = [
 
 TOOL_VERSION = "0.1.0"
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+# ASCII digits over the whole string: \d would take any Unicode digit,
+# and $ a final newline, both of which Fraction accepts.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 _OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
 
 # Deciding that a value is zero refines it to a separation bound of
@@ -82,7 +84,7 @@ def _canonical(doc: dict) -> str:
 
 
 def _parse_rational(text) -> Fraction:
-    if not isinstance(text, str) or not _RATIONAL.match(text):
+    if not isinstance(text, str) or not _RATIONAL.fullmatch(text):
         raise ParseError(f"not a rational literal: {text!r}")
     try:
         return Fraction(text)

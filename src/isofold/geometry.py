@@ -34,28 +34,16 @@ __all__ = [
     "EMPTY",
     "LowerDimensional",
     "Location",
-    "CoincidentPoints",
-    "ApexOutside",
     "orientation",
     "edge_form",
     "homogeneous",
     "line_crossing",
     "squared_distance",
     "convex_hull",
-    "perpendicular_bisector",
     "clip_polygon_halfplane",
-    "triangulate_fan",
     "point_in_polygon",
     "segment_intersection",
 ]
-
-
-class CoincidentPoints(ValueError):
-    """Two points required to be distinct are equal."""
-
-
-class ApexOutside(ValueError):
-    """Fan apex is neither a vertex nor strictly inside the polygon."""
 
 
 class Point:
@@ -212,16 +200,6 @@ class Line:
 
     def __repr__(self):
         return f"Line({self.a!r}, {self.b!r}, {self.c!r})"
-
-
-def perpendicular_bisector(p: Point, q: Point) -> Line:
-    """Locus of points equidistant from p and q."""
-    if p == q:
-        raise CoincidentPoints("bisector of coincident points")
-    a = (q.x - p.x) * 2
-    b = (q.y - p.y) * 2
-    c = (q.x * q.x + q.y * q.y) - (p.x * p.x + p.y * p.y)
-    return Line(a, b, c)
 
 
 class Triangle:
@@ -451,24 +429,6 @@ def line_crossing(line: Line, p: Point, q: Point) -> Point:
     qx, qy, qw = homogeneous(q)
     w = hp * qw - hq * pw
     return Point(quotient(hp * qx - hq * px, w), quotient(hp * qy - hq * py, w))
-
-
-def triangulate_fan(poly: ConvexPolygon, apex: Point):
-    """Fan triangles covering poly from apex, counterclockwise.
-
-    The apex must be a vertex of poly or strictly inside it.
-    """
-    vs = poly.vertices
-    n = len(vs)
-    for i, v in enumerate(vs):
-        if v == apex:
-            return [
-                Triangle(apex, vs[(i + k) % n], vs[(i + k + 1) % n])
-                for k in range(1, n - 1)
-            ]
-    if point_in_polygon(apex, poly) is not Location.INSIDE:
-        raise ApexOutside("fan apex must be a vertex or strictly inside")
-    return [Triangle(apex, vs[i], vs[(i + 1) % n]) for i in range(n)]
 
 
 def point_in_polygon(p: Point, poly: ConvexPolygon) -> Location:

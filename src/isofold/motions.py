@@ -18,7 +18,6 @@ __all__ = [
     "CollinearSources",
     "CoincidentSources",
     "compose",
-    "line_preimage",
     "reflection_across_line",
     "from_two_pairs",
     "from_three_points",
@@ -238,13 +237,3 @@ def from_three_points(
     if m.apply(p3) == q3:
         return m
     raise DistanceMismatch("no isometry maps the three pairs")
-
-
-def line_preimage(motion: Motion, line: Line) -> Line:
-    """The line whose image under motion is the given line."""
-    a, b, c = line.a, line.b, line.c
-    return Line(
-        a * motion.r00 + b * motion.r10,
-        a * motion.r01 + b * motion.r11,
-        c - (a * motion.tx + b * motion.ty),
-    )

@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .exactreal import equals, number, sign
+from .exactreal import equals, number, quotient, sign
 from .geometry import (
     ConvexPolygon,
     Location,
@@ -151,11 +151,11 @@ class PLMap:
         return self.motions[self.triangles[self.locate(p)][3]].apply(p)
 
     def validate(self) -> ValidationReport:
-        checks = []
-        checks.append(self._check_cells())
-        if checks[-1][1]:
+        cells, dets = self._check_cells()
+        checks = [cells]
+        if cells[1]:
             pieces, cuts = self._edge_lines()
-            checks.append(self._check_area())
+            checks.append(self._check_area(dets))
             checks.append(self._check_faces(pieces, checks[-1][1]))
         else:
             checks.append(("area-sum", False, "skipped: broken cells"))
@@ -168,29 +168,41 @@ class PLMap:
         return ValidationReport(checks)
 
     def _check_cells(self):
-        vs = self.vertices
-        for t, (i, j, k, _) in enumerate(self.triangles):
-            if orientation(vs[i], vs[j], vs[k]) != 1:
-                return (
-                    "triangle-orientation",
-                    False,
-                    f"triangle {t} is not positively oriented",
-                )
-        return ("triangle-orientation", True, f"{len(self.triangles)} cells")
+        """Every cell turns counterclockwise; returns (check, determinants).
 
-    def _check_area(self):
+        A cell's determinant is its first edge form at its third vertex,
+        the 3x3 determinant of its homogeneous rows: twice its area times
+        the product of its vertices' W.
+        """
+        vs = self.vertices
+        dets = []
+        for t, ((_, _, k, _), ((a, b, c), _, _)) in enumerate(
+            zip(self.triangles, self._cell_forms())
+        ):
+            x, y, w = homogeneous(vs[k])
+            det = a * x + b * y - c * w
+            if sign(det) != 1:
+                failed = f"triangle {t} is not positively oriented"
+                return ("triangle-orientation", False, failed), None
+            dets.append(det)
+        return ("triangle-orientation", True, f"{len(self.triangles)} cells"), dets
+
+    def _check_area(self, dets):
         """Cells inside the domain whose areas sum to the domain's area.
 
-        Together with one face on each side of every edge piece (the next
-        check) this proves the cells tile the domain exactly: a cell
-        outside it could otherwise make up the area of a hole.
+        Each cell's area is its determinant from ``_check_cells`` over
+        the product of its vertices' W.  Together with one face on each
+        side of every edge piece (the next check) this proves the cells
+        tile the domain exactly: a cell outside it could otherwise make up
+        the area of a hole.
         """
-        total = None
-        for t in range(len(self.triangles)):
-            a2 = self.cell(t).area2()
-            total = a2 if total is None else total + a2
-        if total is None:
+        if not dets:
             return ("area-sum", False, "no triangles")
+        vs = self.vertices
+        total = sum(
+            quotient(det, homogeneous(vs[i])[2] * homogeneous(vs[j])[2] * homogeneous(vs[k])[2])
+            for det, (i, j, k, _) in zip(dets, self.triangles)
+        )
         used = sorted({i for row in self.triangles for i in row[:3]})
         for i in used:
             if point_in_polygon(self.vertices[i], self.domain) is Location.OUTSIDE:

@@ -14,6 +14,11 @@ from isofold.fileio import instance_hash, parse_instance, serialize_map
 from isofold.geometry import ConvexPolygon, Point, Triangle
 from isofold.motions import Motion
 from isofold.plmap import assemble
+from outputdigest import output_digest
+
+# The digest of tests/outputdigest.py, the same under Python 3.10 to
+# 3.13.  It moves only when output bytes change, which CHANGES.md names.
+OUTPUT_DIGEST = "6fddd8c52b6a5f58cf1f5a4b6062d3608e68f95924f4dfd6d5f2bc97033b83df"
 
 GOLDEN = {
     "points": [
@@ -129,6 +134,14 @@ class TestExtend:
     def test_parse_error_exit_1(self, tmp_path, capsys):
         path = tmp_path / "junk.json"
         path.write_text("{nope")
+        assert main(["extend", "--input", str(path)]) == 1
+        assert stderr_json(capsys)["error"] == "parse"
+
+    @pytest.mark.parametrize("literal", ["1/2\n", "\u0661/\u0662"])
+    def test_newline_or_non_ascii_digit_exit_1(self, tmp_path, capsys, literal):
+        path = write_instance(
+            tmp_path, "l.json", [(literal, 0, 0, 0), (4, 0, 4, 0), (0, 4, 0, 4)]
+        )
         assert main(["extend", "--input", str(path)]) == 1
         assert stderr_json(capsys)["error"] == "parse"
 
@@ -372,6 +385,14 @@ class TestVerify:
         samples = [w["sample"] for w in lipschitz["witness"]]
         assert len(samples) == 10
         assert samples == sorted(samples)
+
+
+def test_output_bytes_pinned(tmp_path):
+    digest, codes = output_digest(tmp_path)
+    assert [code for _, code in codes] == [
+        4 if label.endswith("planted") else 0 for label, _ in codes
+    ]
+    assert digest == OUTPUT_DIGEST
 
 
 def test_module_entry_point(tmp_path):

@@ -18,9 +18,7 @@ from isofold.geometry import (
     Triangle,
     convex_hull,
     orientation,
-    perpendicular_bisector,
     squared_distance,
-    triangulate_fan,
 )
 from isofold.motions import Motion, from_three_points, reflection_across_line
 from isofold.plmap import PLMap, assemble
@@ -37,13 +35,13 @@ from isofold.extension import (
     base_case,
     check_nonexpansive,
     cone_pieces,
+    cut_line,
     extend_all,
     extend_all_traced,
     extend_step,
     extend_step_traced,
     fan_extension,
     fold_boundary_region,
-    pullback_center,
     refit_region,
     _contact_chains,
     _merge_touched,
@@ -56,11 +54,47 @@ def P(x, y) -> Point:
     return Point(x, y)
 
 
+def package_sources():
+    """The package's modules in this source tree, whichever copy is imported."""
+    sources = sorted((Path(__file__).resolve().parents[1] / "src" / "isofold").glob("*.py"))
+    assert len(sources) > 1
+    return sources
+
+
 def inst(sources, targets) -> Instance:
     return Instance([P(*s) for s in sources], [P(*t) for t in targets])
 
 
 GOLDEN = inst([(0, 0), (4, 0), (0, 4)], [(0, 0), (4, 0), (2, 2)])
+
+
+def ref_bisector(p: Point, q: Point) -> Line:
+    """The perpendicular bisector of p != q, the reference for cut_line."""
+    return Line(
+        (q.x - p.x) * 2,
+        (q.y - p.y) * 2,
+        (q.x * q.x + q.y * q.y) - (p.x * p.x + p.y * p.y),
+    )
+
+
+def ref_line_preimage(motion: Motion, line: Line) -> Line:
+    """The line whose image under motion is the given line."""
+    a, b, c = line.a, line.b, line.c
+    return Line(
+        a * motion.r00 + b * motion.r10,
+        a * motion.r01 + b * motion.r11,
+        c - (a * motion.tx + b * motion.ty),
+    )
+
+
+def fan_from_first_vertex(poly: ConvexPolygon):
+    vs = poly.vertices
+    return [Triangle(vs[0], vs[k], vs[k + 1]) for k in range(1, len(vs) - 1)]
+
+
+def region_excess(g: Motion, a: Point, b: Point, x: Point):
+    """|b - g(x)|^2 - |a - x|^2, positive inside the region."""
+    return squared_distance(b, g.apply(x)) - squared_distance(a, x)
 
 
 def two_piece_map() -> PLMap:
@@ -141,15 +175,96 @@ class TestBaseCase:
 
 
 class TestPullbackCenter:
+    """Worked cuts: cut_line(g, a, b) is the bisector of a and the
+    pull-back centre g^-1(b), with a on its +1 side."""
+
     def test_identity(self):
-        assert pullback_center(Motion.identity(), P(2, 2)) == P(2, 2)
+        # Centre (2, 2): the bisector of (0, 4) and (2, 2) is y = x + 2.
+        cut = cut_line(Motion.identity(), P(0, 4), P(2, 2))
+        assert cut == Line(1, -1, -2)
+        assert cut.side(P(0, 4)) == 1 and cut.side(P(2, 2)) == -1
 
     def test_reflection(self):
+        # Across x = 4, (1, 1) pulls back to (7, 1); with a = (3, 1) the
+        # cut is x = 5.
         mirror = reflection_across_line(Line(1, 0, 4))
-        assert pullback_center(mirror, P(1, 1)) == P(7, 1)
+        cut = cut_line(mirror, P(3, 1), P(1, 1))
+        assert cut == Line(1, 0, 5)
+        assert cut.side(P(3, 1)) == 1 and cut.side(P(7, 1)) == -1
 
     def test_translation(self):
-        assert pullback_center(Motion.translation(1, 0), P(5, 5)) == P(4, 5)
+        # The shift by (1, 0) pulls (5, 5) back to (4, 5); with a = (4, 1)
+        # the cut is y = 3.
+        cut = cut_line(Motion.translation(1, 0), P(4, 1), P(5, 5))
+        assert cut == Line(0, 1, 3)
+        assert cut.side(P(4, 1)) == 1 and cut.side(P(4, 5)) == -1
+
+
+class TestCutLine:
+    """cut_line against the bisector of a and g^-1(b), and the fold lines
+    against the preimage of the bisector of the two swing images."""
+
+    @staticmethod
+    def check(g: Motion, a: Point, b: Point, probes) -> bool:
+        """Checks one cut; returns whether it exists."""
+        cut = cut_line(g, a, b)
+        assert (cut is None) == (g.apply(a) == b)
+        if cut is None:
+            return False
+        ref = ref_bisector(a, g.inverse().apply(b))
+        assert cut == ref
+        keep = ref.side(a)
+        for x in probes:
+            assert cut.side(x) == ref.side(x) * keep == sign(region_excess(g, a, b, x))
+        return True
+
+    def test_equals_the_reference_cut_at_every_step(self):
+        cuts = 0
+        for g, a, b in [
+            step for i in instance_suite(7, 6, max_points=8) for step in induction_steps(i)
+        ]:
+            probes = list(g.vertices) + [a, b]
+            for motion in g.motions:
+                cuts += self.check(motion, a, b, probes)
+        assert cuts > 0
+
+    def test_none_exactly_when_g_lands_the_target(self):
+        g = Motion((("3/5", "-4/5"), ("4/5", "3/5")), (1, 2))
+        a = P(2, -1)
+        assert cut_line(g, a, g.apply(a)) is None
+        assert self.check(g, a, P(g.apply(a).x, 0), [a, P(0, 0)])
+        assert cut_line(Motion.identity(), P(1, 1), P(1, 1)) is None
+
+    def test_sqrt2_fold_line_is_the_reference_preimage(self):
+        gswing = P(sqrt(2), sqrt(2))
+        fr = fold_boundary_region(
+            [P(0, 0), P(2, 0), P(0, 2)],
+            P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), gswing,
+        )
+        rigid, swing = fr.rigid_part, fr.swing
+        ref = ref_line_preimage(rigid, ref_bisector(rigid.apply(swing), gswing))
+        assert fr.fold_line == ref
+        assert self.check(rigid, swing, gswing, [P(0, 0), P(2, 0), P(0, 2), P(1, 1)])
+
+    def test_suite_fold_lines_are_the_reference_preimages(self, monkeypatch):
+        folds = []
+
+        def recorded(*args):
+            fr = fold_boundary_region(*args)
+            if fr.fold_line is not None:
+                folds.append(fr)
+            return fr
+
+        monkeypatch.setattr("isofold.extension.fold_boundary_region", recorded)
+        for i in instance_suite(7, 6, max_points=8):
+            extend_all(i)
+        assert folds
+        for fr in folds:
+            rigid, swing = fr.rigid_part, fr.swing
+            g_swing = fr.reflected_part.apply(swing)
+            ref = ref_line_preimage(rigid, ref_bisector(rigid.apply(swing), g_swing))
+            assert fr.fold_line == ref
+            assert self.check(rigid, swing, g_swing, list(fr.polygon))
 
 
 class TestRefitRegion:
@@ -229,19 +344,19 @@ class TestRefitRegion:
             assert sign(rhs - lhs) == 1
 
     def test_one_cut_per_motion(self, monkeypatch):
-        # Cells sharing a motion share its bisector, so a refit builds
-        # at most one per motion however many cells carry it.
+        # Cells sharing a motion share its cut, so a refit builds at
+        # most one per motion however many cells carry it.
         g = extend_all(inst(
             [(0, 0), (8, 0), (4, 2), (0, 6)], [(0, 0), (4, 0), (2, 1), (0, 6)]
         ))
         assert len(g) > len(g.motions)
         calls = []
 
-        def counted(p, q):
-            calls.append((p, q))
-            return perpendicular_bisector(p, q)
+        def counted(motion, a, b):
+            calls.append(motion)
+            return cut_line(motion, a, b)
 
-        monkeypatch.setattr("isofold.extension.perpendicular_bisector", counted)
+        monkeypatch.setattr("isofold.extension.cut_line", counted)
         src = P(2, 1)
         image = g.evaluate(src)
         region = refit_region(g, src, P(image.x + Fraction(1, 4), image.y))
@@ -299,16 +414,15 @@ class TestFoldBoundaryRegion:
         assert fr.reflected_part.apply(P(0, 0)) == P(0, 0)
 
     def test_fold_reflected_is_rigid_then_mirror(self):
-        from isofold.geometry import perpendicular_bisector
-        from isofold.motions import compose, line_preimage
+        from isofold.motions import compose
 
         gswing = P(sqrt(2), sqrt(2))
         fr = fold_boundary_region(
             [P(0, 0), P(2, 0), P(0, 2)],
             P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), gswing,
         )
-        image = perpendicular_bisector(fr.rigid_part.apply(fr.swing), gswing)
-        assert line_preimage(fr.rigid_part, image) == fr.fold_line
+        image = ref_bisector(fr.rigid_part.apply(fr.swing), gswing)
+        assert ref_line_preimage(fr.rigid_part, image) == fr.fold_line
         assert compose(
             reflection_across_line(image), fr.rigid_part
         ) == fr.reflected_part
@@ -565,7 +679,7 @@ class TestMerge:
                     hull = convex_hull([v for c in cells for v in c.vertices])
                     if hull.area2() != sum(c.area2() for c in cells):
                         continue
-                    fan = triangulate_fan(hull, hull.vertices[0])
+                    fan = fan_from_first_vertex(hull)
                     assert [c.vertices for c in cells] == [t.vertices for t in fan]
         assert merged > 0
 
@@ -623,13 +737,48 @@ class TestInvariants:
 
     def test_package_has_no_assert_statements(self):
         # python -O strips assert statements, so invariants must raise.
-        # Walks the source tree itself, whichever copy is imported.
-        sources = sorted((Path(__file__).resolve().parents[1] / "src" / "isofold").glob("*.py"))
-        assert len(sources) > 1
         found = [
             f"{path.name}:{node.lineno}"
-            for path in sources
+            for path in package_sources()
             for node in ast.walk(ast.parse(path.read_text()))
             if isinstance(node, ast.Assert)
         ]
+        assert found == []
+
+    def test_package_has_no_orphaned_imports(self):
+        # A deletion must not leave behind an import that nothing reads
+        # (``__init__.py`` imports to re-export) or an __all__ entry that
+        # names nothing.
+        found = []
+        for path in package_sources():
+            tree = ast.parse(path.read_text())
+            imported = {
+                (alias.asname or alias.name).split(".")[0]: node.lineno
+                for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom))
+                and getattr(node, "module", None) != "__future__"
+                for alias in node.names
+            }
+            defined = set()
+            exported = []
+            for node in tree.body:
+                if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                    defined.add(node.name)
+                elif isinstance(node, ast.Assign):
+                    names = {t.id for t in node.targets if isinstance(t, ast.Name)}
+                    defined |= names
+                    if "__all__" in names:
+                        exported = [elt.value for elt in node.value.elts]
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            if path.name != "__init__.py":
+                found += [
+                    f"{path.name}:{line} imports {name} and never uses it"
+                    for name, line in imported.items()
+                    if name not in used and name not in exported
+                ]
+            found += [
+                f"{path.name}: __all__ names {name}, which it neither defines nor imports"
+                for name in exported
+                if name not in defined and name not in imported
+            ]
         assert found == []

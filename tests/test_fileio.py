@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 
 import pytest
 
@@ -56,6 +55,15 @@ class TestNumberCodec:
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ParseError):
             number_from_json(bad)
+
+    # Fraction reads a final newline and any Unicode digit, but a
+    # literal is ASCII digits only.
+    @pytest.mark.parametrize("bad", ["1/2\n", "3\n", "\u0661/\u0662", "\u0663"])
+    def test_rejects_newline_and_non_ascii_digits(self, bad):
+        with pytest.raises(ParseError):
+            number_from_json(bad)
+        with pytest.raises(ParseError):
+            parse_instance(json.dumps({"points": [{"a": [bad, "0"], "b": ["0", "0"]}]}))
 
     def test_rejects_raw_numbers(self):
         with pytest.raises(ParseError):

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 from isofold import sqrt
 from isofold.geometry import (
     EMPTY,
-    ApexOutside,
-    CoincidentPoints,
     ConvexPolygon,
     DegenerateHull,
     Line,
@@ -29,15 +27,13 @@ from isofold.geometry import (
     homogeneous,
     line_crossing,
     orientation,
-    perpendicular_bisector,
     point_in_polygon,
     point_on_segment,
     segment_intersection,
     squared_distance,
-    triangulate_fan,
 )
 from isofold.exactreal import sign
-from isofold.extension import FoldRegion, cone_pieces
+from isofold.extension import FoldRegion, cone_pieces, cut_line
 from isofold.motions import Motion
 
 coords = st.fractions(min_value=-12, max_value=12, max_denominator=8)
@@ -110,15 +106,19 @@ class TestLine:
         assert Line(2, -1, 8) != Line(1, -1, -2)
 
 
+def bisector(p: Point, q: Point):
+    """The cut of the identity: points as far from p as from q."""
+    return cut_line(Motion.identity(), p, q)
+
+
 class TestPerpendicularBisector:
     def test_worked_bisectors(self):
-        assert perpendicular_bisector(P(0, 4), P(2, 2)) == Line(1, -1, -2)
-        assert perpendicular_bisector(P(3, 3), P(1, 1)) == Line(1, 1, 4)
-        assert perpendicular_bisector(P(3, 3), P(7, 1)) == Line(2, -1, 8)
+        assert bisector(P(0, 4), P(2, 2)) == Line(1, -1, -2)
+        assert bisector(P(3, 3), P(1, 1)) == Line(1, 1, 4)
+        assert bisector(P(3, 3), P(7, 1)) == Line(2, -1, 8)
 
     def test_coincident_points(self):
-        with pytest.raises(CoincidentPoints):
-            perpendicular_bisector(P(1, 1), P(1, 1))
+        assert bisector(P(1, 1), P(1, 1)) is None
 
     @given(coords, coords, coords, coords)
     @settings(max_examples=80, deadline=None)
@@ -126,7 +126,7 @@ class TestPerpendicularBisector:
         p, q = P(px, py), P(qx, qy)
         if p == q:
             return
-        ln = perpendicular_bisector(p, q)
+        ln = bisector(p, q)
         mid = P((p.x + q.x) / 2, (p.y + q.y) / 2)
         assert ln.contains(mid)
         probe = P(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
@@ -269,33 +269,6 @@ class TestClip:
             return Fraction(0)
 
         assert area(kept) + area(rest) == total
-
-
-class TestTriangulateFan:
-    square = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
-
-    def test_fan_from_vertex(self):
-        tris = triangulate_fan(self.square, P(0, 0))
-        assert len(tris) == 2
-        assert sum(t.area2() for t in tris) == 8
-        for t in tris:
-            assert orientation(t.v0, t.v1, t.v2) == 1
-
-    def test_fan_from_other_vertex(self):
-        tris = triangulate_fan(self.square, P(2, 2))
-        assert len(tris) == 2
-        assert all(t.v0 == P(2, 2) for t in tris)
-
-    def test_fan_from_interior(self):
-        tris = triangulate_fan(self.square, P(1, 1))
-        assert len(tris) == 4
-        assert sum(t.area2() for t in tris) == 8
-
-    def test_apex_outside_rejected(self):
-        with pytest.raises(ApexOutside):
-            triangulate_fan(self.square, P(5, 5))
-        with pytest.raises(ApexOutside):
-            triangulate_fan(self.square, P(1, 0))  # boundary, not a vertex
 
 
 class TestPointInPolygon:

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +16,6 @@ from isofold.motions import (
     compose,
     from_three_points,
     from_two_pairs,
-    line_preimage,
     reflection_across_line,
 )
 
@@ -203,31 +200,3 @@ class TestKind:
 
 def self_rotation() -> Motion:
     return Motion((("3/5", "-4/5"), ("4/5", "3/5")), (1, 2))
-
-
-class TestLinePreimage:
-    def test_translation(self):
-        m = Motion.translation(2, 0)
-        ln = line_preimage(m, Line(1, 0, 5))  # x = 5
-        assert ln == Line(1, 0, 3)
-
-    def test_rotation(self):
-        m = from_two_pairs(P(0, 0), P(0, 0), P(1, 0), P(0, 1), 1)
-        ln = line_preimage(m, Line(0, 1, 2))  # y = 2 pulls back to x = 2
-        assert ln == Line(1, 0, 2)
-
-    @given(coords, coords, coords)
-    @settings(max_examples=60, deadline=None)
-    def test_preimage_points_land_on_line(self, a, b, c):
-        if a == 0 and b == 0:
-            return
-        m = self_rotation()
-        src = line_preimage(m, Line(a, b, c))
-        target = Line(a, b, c)
-        # Two points of the source line must map onto the target line.
-        if sign(src.b) != 0:
-            pts = [P(0, src.c / src.b), P(1, (src.c - src.a) / src.b)]
-        else:
-            pts = [P(src.c / src.a, 0), P(src.c / src.a, 1)]
-        for p in pts:
-            assert target.side(m.apply(p)) == 0

@@ -250,6 +250,31 @@ class TestValidate:
         rep = self.t_junction_map(Motion.translation(1, 0)).validate()
         assert [n for n, ok, _ in rep.checks if not ok] == ["edge-agreement"]
 
+    def test_one_determinant_per_cell(self, monkeypatch):
+        # The area sum reuses the determinant that checked each cell's
+        # orientation, so validate neither builds a Triangle nor takes a
+        # cell's determinant twice.
+        f = extend_all(random_instance(random.Random(5), 10))
+        calls = []
+        built = []
+
+        def counted(p, q, r):
+            calls.append((p, q, r))
+            return orientation(p, q, r)
+
+        init = Triangle.__init__
+
+        def counted_init(self, *vertices):
+            built.append(vertices)
+            init(self, *vertices)
+
+        monkeypatch.setattr("isofold.geometry.orientation", counted)
+        monkeypatch.setattr("isofold.plmap.orientation", counted)
+        monkeypatch.setattr(Triangle, "__init__", counted_init)
+        assert f.validate().all_passed
+        assert len(calls) <= len(f)
+        assert built == []
+
     def test_report_dict(self):
         rep = square_map().validate()
         d = rep.as_dict()
