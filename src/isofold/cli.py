@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .extension import DegenerateHullError, NonExpansivenessViolation, extend_all
@@ -54,9 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise argparse.ArgumentError(None, message)
 
 
+# ASCII digits over the whole string: int() would also take any Unicode
+# digit and surrounding whitespace.
+_DIGITS = re.compile(r"[0-9]+")
+_SIGNED_DIGITS = re.compile(r"[+-]?[0-9]+")
+
+
 def _positive_int(text: str) -> int:
-    if not text.isdecimal() or int(text) < 1:
+    if not _DIGITS.fullmatch(text) or int(text) < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _signed_int(text: str) -> int:
+    if not _SIGNED_DIGITS.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}")
     return int(text)
 
 
@@ -161,14 +174,14 @@ def _parser() -> argparse.ArgumentParser:
         help="audit the produced map exactly, or not at all",
     )
     ext.add_argument("--samples", type=_positive_int, default=1000)
-    ext.add_argument("--seed", type=int, default=0)
+    ext.add_argument("--seed", type=_signed_int, default=0)
     ext.set_defaults(run=cmd_extend)
 
     ver = sub.add_parser("verify", help="re-audit a previously written map file")
     ver.add_argument("--map", required=True, help="map JSON path")
     ver.add_argument("--instance", required=True, help="instance JSON path")
     ver.add_argument("--samples", type=_positive_int, default=1000)
-    ver.add_argument("--seed", type=int, default=0)
+    ver.add_argument("--seed", type=_signed_int, default=0)
     ver.set_defaults(run=cmd_verify)
 
     return parser

@@ -200,14 +200,24 @@ def cut_line(g: Motion, a: Point, b: Point) -> Line | None:
     With g(x) = R x + t and d = t - b, R orthogonal makes
     |b - g(x)|^2 - |a - x|^2 the affine 2 (R^T d + a).x + |d|^2 - |a|^2.
     R^T d + a = R^T (g(a) - b) vanishes exactly when g(a) = b, and then
-    the difference is constant: None.
+    the difference is constant: None.  The line is built from g's form
+    (entries over e), homogeneous(a) = (ax, ay, aw) and homogeneous(b):
+    d = (dx, dy) / (e bw), R^T d + a = (u, v) / (e^2 bw aw), and the
+    coefficients come out scaled by the positive e^2 bw^2 aw^2.
     """
-    dx, dy = g.tx - b.x, g.ty - b.y
-    u = g.r00 * dx + g.r10 * dy + a.x
-    v = g.r01 * dx + g.r11 * dy + a.y
+    r00, r01, r10, r11, tx, ty, e = g.form()
+    ax, ay, aw = homogeneous(a)
+    bx, by, bw = homogeneous(b)
+    dw = e * bw
+    dx, dy = tx * bw - bx * e, ty * bw - by * e
+    u = (r00 * dx + r10 * dy) * aw + ax * e * dw
+    v = (r01 * dx + r11 * dy) * aw + ay * e * dw
     if sign(u) == 0 and sign(v) == 0:
         return None
-    return Line(u * 2, v * 2, a.x * a.x + a.y * a.y - dx * dx - dy * dy)
+    k = 2 * aw * bw
+    return Line.from_form(
+        u * k, v * k, (ax * ax + ay * ay) * dw * dw - (dx * dx + dy * dy) * aw * aw
+    )
 
 
 class RefitRegion:

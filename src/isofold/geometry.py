@@ -125,9 +125,13 @@ def edge_form(p: Point, q: Point):
 
 
 def squared_distance(p: Point, q: Point):
-    dx = q.x - p.x
-    dy = q.y - p.y
-    return dx * dx + dy * dy
+    """|q - p|^2: one integer expression over homogeneous(p) and (q)."""
+    px, py, pw = homogeneous(p)
+    qx, qy, qw = homogeneous(q)
+    dx = qx * pw - px * qw
+    dy = qy * pw - py * qw
+    w = pw * qw
+    return quotient(dx * dx + dy * dy, w * w)
 
 
 class Segment:
@@ -167,15 +171,34 @@ class Line:
             raise ValueError("line coefficients (a, b) must not both be zero")
         self._form = None
 
+    @classmethod
+    def from_form(cls, a, b, c) -> "Line":
+        """The line a*x + b*y = c, keeping (a, b, c) as its integer form.
+
+        Ints, or exact numbers where irrational: any triple serves as
+        its own form, since a form only has to be a positive multiple
+        of the coefficients.
+        """
+        line = cls(a, b, c)
+        line._form = (a, b, c)
+        return line
+
+    def form(self):
+        """(a, b, c) times their common denominator, built once.
+
+        Ints for a rational line, the coefficients otherwise.
+        """
+        if self._form is None:
+            self._form = tuple(common_denominator((self.a, self.b, self.c))[0])
+        return self._form
+
     def homogeneous_value(self, p: Point):
         """a*X + b*Y - c*W over the integer form and homogeneous(p).
 
         That is a*x + b*y - c at p times a positive factor: an int for a
         rational line and point, an exact number otherwise.
         """
-        if self._form is None:
-            self._form = tuple(common_denominator((self.a, self.b, self.c))[0])
-        a, b, c = self._form
+        a, b, c = self.form()
         x, y, w = homogeneous(p)
         return a * x + b * y - c * w
 

@@ -3,14 +3,21 @@
 Motions built from rational data stay rational end to end: the
 two-point constructor solves for the rotation or reflection entries
 with squared distances only, so no square root ever enters.
+
+Each motion keeps its entries as exact numbers and builds, once, its
+integer form (r00, r01, r10, r11, tx, ty, d): the entries times their
+common denominator d > 0, ints for a rational motion and the entries
+over d = 1 otherwise (``exactreal.common_denominator``).  Images,
+compositions, reflections and two-point solves are integer expressions
+over these forms, the lines' forms and ``geometry.homogeneous``, each
+result entry turned into a number by one ``quotient``; a rational
+motion's form is canonical, so it keys the motion exactly.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from .exactreal import equals, number, sign
-from .geometry import Line, Point, orientation, squared_distance
+from .exactreal import common_denominator, number, quotient, sign
+from .geometry import Line, Point, homogeneous, orientation
 
 __all__ = [
     "Motion",
@@ -44,7 +51,7 @@ class Motion:
     surface broken files to the structural audit use ``Motion.unchecked``.
     """
 
-    __slots__ = ("r00", "r01", "r10", "r11", "tx", "ty", "_det")
+    __slots__ = ("r00", "r01", "r10", "r11", "tx", "ty", "_det", "_form")
 
     def __new__(cls, rows, translation):
         m = cls.unchecked(rows, translation)
@@ -64,6 +71,7 @@ class Motion:
         m.tx = number(tx)
         m.ty = number(ty)
         m._det = None
+        m._form = None
         return m
 
     @classmethod
@@ -74,11 +82,27 @@ class Motion:
     def translation(cls, dx, dy) -> "Motion":
         return cls(((1, 0), (0, 1)), (dx, dy))
 
+    def form(self):
+        """(r00, r01, r10, r11, tx, ty, d): the entries times d > 0.
+
+        Built once.  Ints over the lcm d of the reduced denominators
+        for a rational motion, which makes the form canonical; the
+        entries over d = 1 otherwise.
+        """
+        f = self._form
+        if f is None:
+            entries, d = common_denominator(
+                (self.r00, self.r01, self.r10, self.r11, self.tx, self.ty)
+            )
+            f = self._form = (*entries, d)
+        return f
+
     def is_orthogonal(self) -> bool:
+        r00, r01, r10, r11, _, _, d = self.form()
         return (
-            equals(self.r00 * self.r00 + self.r10 * self.r10, 1)
-            and equals(self.r01 * self.r01 + self.r11 * self.r11, 1)
-            and sign(self.r00 * self.r01 + self.r10 * self.r11) == 0
+            sign(r00 * r00 + r10 * r10 - d * d) == 0
+            and sign(r01 * r01 + r11 * r11 - d * d) == 0
+            and sign(r00 * r01 + r10 * r11) == 0
         )
 
     @property
@@ -87,69 +111,68 @@ class Motion:
 
     def determinant_sign(self) -> int:
         if self._det is None:
-            self._det = sign(self.r00 * self.r11 - self.r01 * self.r10)
+            r00, r01, r10, r11 = self.form()[:4]
+            self._det = sign(r00 * r11 - r01 * r10)
         return self._det
 
     def is_orientation_preserving(self) -> bool:
         return self.determinant_sign() == 1
 
     def apply(self, p: Point) -> Point:
+        """The image R p + t: the form at homogeneous(p), over d * W."""
+        r00, r01, r10, r11, tx, ty, d = self.form()
+        x, y, w = homogeneous(p)
+        dw = d * w
         return Point(
-            self.r00 * p.x + self.r01 * p.y + self.tx,
-            self.r10 * p.x + self.r11 * p.y + self.ty,
+            quotient(r00 * x + r01 * y + tx * w, dw),
+            quotient(r10 * x + r11 * y + ty * w, dw),
         )
 
     __call__ = apply
 
     def inverse(self) -> "Motion":
         # R orthogonal, so the inverse rotation part is the transpose.
+        r00, r01, r10, r11, tx, ty, d = self.form()
+        dd = d * d
         return Motion.unchecked(
             ((self.r00, self.r10), (self.r01, self.r11)),
-            (
-                -(self.r00 * self.tx + self.r10 * self.ty),
-                -(self.r01 * self.tx + self.r11 * self.ty),
-            ),
+            (quotient(-(r00 * tx + r10 * ty), dd), quotient(-(r01 * tx + r11 * ty), dd)),
         )
 
     def is_rational(self) -> bool:
-        return all(
-            type(v) is Fraction
-            for v in (self.r00, self.r01, self.r10, self.r11, self.tx, self.ty)
-        )
+        # Normal forms are never ints, so only a rational form holds them.
+        return type(self.form()[0]) is int
 
     def kind(self) -> str:
+        r00, r01, r10, r11, tx, ty, d = self.form()
         ident = (
-            equals(self.r00, 1)
-            and sign(self.r01) == 0
-            and sign(self.r10) == 0
-            and equals(self.r11, 1)
+            sign(r00 - d) == 0
+            and sign(r01) == 0
+            and sign(r10) == 0
+            and sign(r11 - d) == 0
         )
         if ident:
-            if sign(self.tx) == 0 and sign(self.ty) == 0:
+            if sign(tx) == 0 and sign(ty) == 0:
                 return "identity"
             return "translation"
         if self.determinant_sign() == 1:
             return "rotation"
         # Mirror direction spans the +1 eigenspace of R; of the two
-        # candidate eigenvectors at least one is nonzero.
-        dx, dy = self.r01, 1 - self.r00
+        # candidate eigenvectors (times d) at least one is nonzero.
+        dx, dy = r01, d - r00
         if sign(dx) == 0 and sign(dy) == 0:
-            dx, dy = 1 + self.r00, self.r10
-        if sign(self.tx * dx + self.ty * dy) == 0:
+            dx, dy = d + r00, r10
+        if sign(tx * dx + ty * dy) == 0:
             return "reflection"
         return "glide_reflection"
 
     def __eq__(self, other):
+        # Entry by entry, the forms cross-multiplied by the other's d.
         if not isinstance(other, Motion):
             return NotImplemented
-        return (
-            equals(self.r00, other.r00)
-            and equals(self.r01, other.r01)
-            and equals(self.r10, other.r10)
-            and equals(self.r11, other.r11)
-            and equals(self.tx, other.tx)
-            and equals(self.ty, other.ty)
-        )
+        *mine, d = self.form()
+        *theirs, e = other.form()
+        return all(sign(x * e - y * d) == 0 for x, y in zip(mine, theirs))
 
     __hash__ = None
 
@@ -161,35 +184,38 @@ class Motion:
 
 
 def compose(outer: Motion, inner: Motion) -> Motion:
-    """The motion applying inner first, then outer."""
+    """The motion applying inner first, then outer.
+
+    Each entry is one integer expression in the two forms over the
+    product of their d.
+    """
+    a00, a01, a10, a11, ax, ay, da = outer.form()
+    b00, b01, b10, b11, bx, by, db = inner.form()
+    d = da * db
     return Motion.unchecked(
         (
-            (
-                outer.r00 * inner.r00 + outer.r01 * inner.r10,
-                outer.r00 * inner.r01 + outer.r01 * inner.r11,
-            ),
-            (
-                outer.r10 * inner.r00 + outer.r11 * inner.r10,
-                outer.r10 * inner.r01 + outer.r11 * inner.r11,
-            ),
+            (quotient(a00 * b00 + a01 * b10, d), quotient(a00 * b01 + a01 * b11, d)),
+            (quotient(a10 * b00 + a11 * b10, d), quotient(a10 * b01 + a11 * b11, d)),
         ),
         (
-            outer.r00 * inner.tx + outer.r01 * inner.ty + outer.tx,
-            outer.r10 * inner.tx + outer.r11 * inner.ty + outer.ty,
+            quotient(a00 * bx + a01 * by + ax * db, d),
+            quotient(a10 * bx + a11 * by + ay * db, d),
         ),
     )
 
 
 def reflection_across_line(line: Line) -> Motion:
-    a, b, c = line.a, line.b, line.c
+    """The mirror in line, from its integer form (a, b, c).
+
+    Every entry is a ratio with a^2 + b^2 as denominator, so any
+    nonzero scaling of the form gives the same motion.
+    """
+    a, b, c = line.form()
     d2 = a * a + b * b
-    ab2 = 2 * a * b / d2
+    s = quotient(-2 * a * b, d2)
     return Motion.unchecked(
-        (
-            ((b * b - a * a) / d2, -ab2),
-            (-ab2, (a * a - b * b) / d2),
-        ),
-        (2 * a * c / d2, 2 * b * c / d2),
+        ((quotient(b * b - a * a, d2), s), (s, quotient(a * a - b * b, d2))),
+        (quotient(2 * a * c, d2), quotient(2 * b * c, d2)),
     )
 
 
@@ -197,31 +223,42 @@ def from_two_pairs(p1: Point, q1: Point, p2: Point, q2: Point, det: int) -> Moti
     """The unique motion of determinant sign det with p1 -> q1, p2 -> q2.
 
     Entries come out of linear solves over squared distances, so
-    rational inputs give a rational motion.
+    rational inputs give a rational motion.  In homogeneous coordinates
+    u = p2 - p1 = (ux, uy) / uw and v = q2 - q1 = (vx, vy) / vw; the
+    rotation part is (u.v, u x v) / |u|^2 for det = +1, with v mirrored
+    for det = -1, which is (ux vx + uy vy) uw / (vw |(ux, uy)|^2) and
+    so on; the translation is q1 - R p1 over one denominator.
     """
     if det not in (-1, 1):
         raise ValueError("det must be +1 or -1")
-    if p1 == p2:
+    px1, py1, pw1 = homogeneous(p1)
+    px2, py2, pw2 = homogeneous(p2)
+    ux, uy, uw = px2 * pw1 - px1 * pw2, py2 * pw1 - py1 * pw2, pw1 * pw2
+    if sign(ux) == 0 and sign(uy) == 0:
         raise CoincidentSources("need two distinct source points")
-    d2 = squared_distance(p1, p2)
-    if not equals(d2, squared_distance(q1, q2)):
+    qx1, qy1, qw1 = homogeneous(q1)
+    qx2, qy2, qw2 = homogeneous(q2)
+    vx, vy, vw = qx2 * qw1 - qx1 * qw2, qy2 * qw1 - qy1 * qw2, qw1 * qw2
+    n = ux * ux + uy * uy
+    if sign(n * vw * vw - (vx * vx + vy * vy) * uw * uw) != 0:
         raise DistanceMismatch("pairs are not congruent")
-    ux = p2.x - p1.x
-    uy = p2.y - p1.y
-    vx = q2.x - q1.x
-    vy = q2.y - q1.y
     if det == 1:
-        c = (ux * vx + uy * vy) / d2
-        s = (ux * vy - uy * vx) / d2
-        rows = ((c, -s), (s, c))
+        c = (ux * vx + uy * vy) * uw
+        s = (ux * vy - uy * vx) * uw
+        n00, n01, n10, n11 = c, -s, s, c
     else:
-        c = (ux * vx - uy * vy) / d2
-        s = (uy * vx + ux * vy) / d2
-        rows = ((c, s), (s, -c))
-    (r00, r01), (r10, r11) = rows
-    tx = q1.x - (r00 * p1.x + r01 * p1.y)
-    ty = q1.y - (r10 * p1.x + r11 * p1.y)
-    return Motion.unchecked(rows, (tx, ty))
+        c = (ux * vx - uy * vy) * uw
+        s = (uy * vx + ux * vy) * uw
+        n00, n01, n10, n11 = c, s, s, -c
+    k = vw * n
+    kw = k * pw1
+    return Motion.unchecked(
+        ((quotient(n00, k), quotient(n01, k)), (quotient(n10, k), quotient(n11, k))),
+        (
+            quotient(qx1 * kw - qw1 * (n00 * px1 + n01 * py1), qw1 * kw),
+            quotient(qy1 * kw - qw1 * (n10 * px1 + n11 * py1), qw1 * kw),
+        ),
+    )
 
 
 def from_three_points(

@@ -9,7 +9,6 @@ a ValidationReport rather than an exception mid-parse.
 from __future__ import annotations
 
 from bisect import bisect_left
-from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
@@ -337,16 +336,16 @@ class PLMap:
 def motion_ids(motions):
     """Index of each motion among the distinct ones, and those motions.
 
-    Rational motions share an index through a dictionary keyed by the
-    integer pairs of their Fraction entries, which hash far faster than
-    the Fractions; irrational ones fall back to an exact linear scan.
+    Rational motions share an index through a dictionary keyed by their
+    integer forms, which are canonical and hash far faster than the
+    Fractions; irrational ones fall back to an exact linear scan.
     """
     ids = []
     distinct: list[Motion] = []
     rational: dict = {}
     for m in motions:
         if m.is_rational():
-            key = tuple(map(Fraction.as_integer_ratio, (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)))
+            key = m.form()
             got = rational.get(key)
             if got is None:
                 rational[key] = got = len(distinct)

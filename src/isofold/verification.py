@@ -16,7 +16,6 @@ from typing import Optional
 
 from .exactreal import (
     approximate,
-    common_denominator,
     decimal_string,
     number,
     scientific_string,
@@ -185,8 +184,8 @@ def _sample_point(rng: random.Random, fan) -> Point:
 
 def _image(form, x, y, w):
     """(P_x, P_y, d): P/(d w) is the image of (x/w, y/w) under the motion
-    with common_denominator form form."""
-    (r00, r01, r10, r11, tx, ty), d = form
+    with integer form form (``Motion.form``)."""
+    r00, r01, r10, r11, tx, ty, d = form
     return r00 * x + r01 * y + tx * w, r10 * x + r11 * y + ty * w, d
 
 
@@ -207,9 +206,7 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
     replayed = 0
     fan = _fan(f.domain)
     w = fan[0]
-    forms = [
-        common_denominator((m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)) for m in f.motions
-    ]
+    forms = [m.form() for m in f.motions]
     rows = f.triangles
     violations = []
     for k in range(cfg.sample_count):

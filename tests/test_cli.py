@@ -205,6 +205,36 @@ class TestUsageErrors:
         assert err["error"] == "usage"
         assert "--samples" in err["detail"]
 
+    @pytest.mark.parametrize("command", ["extend", "verify"])
+    @pytest.mark.parametrize("option, value", [
+        ("--samples", "\u0661\u0660"),
+        ("--samples", " 10"),
+        ("--samples", "10\n"),
+        ("--seed", " \u0665 "),
+        ("--seed", "\u0665"),
+        ("--seed", "-\u0665"),
+        ("--seed", "5 "),
+    ])
+    def test_non_ascii_digits_or_whitespace_exit_1(
+        self, golden_path, command, option, value, capsys
+    ):
+        files = (
+            ["--input", str(golden_path)] if command == "extend"
+            else ["--map", str(golden_path), "--instance", str(golden_path)]
+        )
+        assert main([command, *files, option, value]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = json.loads(captured.err)
+        assert err["error"] == "usage"
+        assert option in err["detail"]
+
+    @pytest.mark.parametrize("seed", ["-7", "+7", "007"])
+    def test_signed_ascii_seed_accepted(self, golden_path, seed, capsys):
+        assert main([
+            "extend", "--input", str(golden_path), "--samples", "5", "--seed", seed,
+        ]) == 0
+
     def test_missing_input_exit_1(self, capsys):
         assert main(["extend", "--samples", "5"]) == 1
         captured = capsys.readouterr()

@@ -48,6 +48,7 @@ from isofold.extension import (
 )
 from instancegen import instance_suite, random_instance
 from test_acceptance import CANONICAL, induction_steps, omega_excess
+from test_motions import ref_compose, ref_from_two_pairs, ref_reflection, same_motion
 
 
 def P(x, y) -> Point:
@@ -85,6 +86,21 @@ def ref_line_preimage(motion: Motion, line: Line) -> Line:
         a * motion.r01 + b * motion.r11,
         c - (a * motion.tx + b * motion.ty),
     )
+
+
+def ref_cut_line(g: Motion, a: Point, b: Point) -> Line | None:
+    """cut_line's entry-wise Fraction formula, from before the integer forms."""
+    dx, dy = g.tx - b.x, g.ty - b.y
+    u = g.r00 * dx + g.r10 * dy + a.x
+    v = g.r01 * dx + g.r11 * dy + a.y
+    if sign(u) == 0 and sign(v) == 0:
+        return None
+    return Line(u * 2, v * 2, a.x * a.x + a.y * a.y - dx * dx - dy * dy)
+
+
+def same_oriented_line(got: Line, want: Line) -> bool:
+    """got is want scaled by a positive factor: same locus, same +1 side."""
+    return got == want and sign(got.a * want.a + got.b * want.b) == 1
 
 
 def fan_from_first_vertex(poly: ConvexPolygon):
@@ -208,9 +224,10 @@ class TestCutLine:
     def check(g: Motion, a: Point, b: Point, probes) -> bool:
         """Checks one cut; returns whether it exists."""
         cut = cut_line(g, a, b)
-        assert (cut is None) == (g.apply(a) == b)
+        assert (cut is None) == (g.apply(a) == b) == (ref_cut_line(g, a, b) is None)
         if cut is None:
             return False
+        assert same_oriented_line(cut, ref_cut_line(g, a, b))
         ref = ref_bisector(a, g.inverse().apply(b))
         assert cut == ref
         keep = ref.side(a)
@@ -262,6 +279,13 @@ class TestCutLine:
         for fr in folds:
             rigid, swing = fr.rigid_part, fr.swing
             g_swing = fr.reflected_part.apply(swing)
+            a_n, g_pivot = fr.polygon[0], rigid.apply(fr.pivot)
+            assert same_motion(rigid, ref_from_two_pairs(
+                a_n, rigid.apply(a_n), fr.pivot, g_pivot, rigid.determinant_sign()
+            ))
+            assert same_motion(
+                fr.reflected_part, ref_compose(rigid, ref_reflection(fr.fold_line))
+            )
             ref = ref_line_preimage(rigid, ref_bisector(rigid.apply(swing), g_swing))
             assert fr.fold_line == ref
             assert self.check(rigid, swing, g_swing, list(fr.polygon))

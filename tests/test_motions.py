@@ -2,11 +2,16 @@
 
 from __future__ import annotations
 
+from fractions import Fraction
+from functools import lru_cache
+from math import lcm
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from isofold import ExactNumber, equals, sign, sqrt
+from isofold.extension import cut_line, fold_boundary_region
 from isofold.geometry import Line, Point, squared_distance
 from isofold.motions import (
     CoincidentSources,
@@ -18,12 +23,131 @@ from isofold.motions import (
     from_two_pairs,
     reflection_across_line,
 )
+from isofold.plmap import motion_ids
+
+from instancegen import instance_suite
+from test_acceptance import induction_steps
 
 coords = st.fractions(min_value=-10, max_value=10, max_denominator=6)
 
 
 def P(x, y) -> Point:
     return Point(x, y)
+
+
+# The entry-wise formulas the motion layer ran on before it moved to
+# integer forms, kept as references.
+
+
+def ref_apply(m: Motion, p: Point) -> Point:
+    return Point(m.r00 * p.x + m.r01 * p.y + m.tx, m.r10 * p.x + m.r11 * p.y + m.ty)
+
+
+def ref_compose(outer: Motion, inner: Motion) -> Motion:
+    return Motion.unchecked(
+        (
+            (
+                outer.r00 * inner.r00 + outer.r01 * inner.r10,
+                outer.r00 * inner.r01 + outer.r01 * inner.r11,
+            ),
+            (
+                outer.r10 * inner.r00 + outer.r11 * inner.r10,
+                outer.r10 * inner.r01 + outer.r11 * inner.r11,
+            ),
+        ),
+        (
+            outer.r00 * inner.tx + outer.r01 * inner.ty + outer.tx,
+            outer.r10 * inner.tx + outer.r11 * inner.ty + outer.ty,
+        ),
+    )
+
+
+def ref_reflection(line: Line) -> Motion:
+    a, b, c = line.a, line.b, line.c
+    d2 = a * a + b * b
+    ab2 = 2 * a * b / d2
+    return Motion.unchecked(
+        (((b * b - a * a) / d2, -ab2), (-ab2, (a * a - b * b) / d2)),
+        (2 * a * c / d2, 2 * b * c / d2),
+    )
+
+
+def ref_from_two_pairs(p1: Point, q1: Point, p2: Point, q2: Point, det: int) -> Motion:
+    ux, uy = p2.x - p1.x, p2.y - p1.y
+    vx, vy = q2.x - q1.x, q2.y - q1.y
+    d2 = ux * ux + uy * uy
+    if sign(d2) == 0:
+        raise CoincidentSources("need two distinct source points")
+    if not equals(d2, vx * vx + vy * vy):
+        raise DistanceMismatch("pairs are not congruent")
+    if det == 1:
+        c = (ux * vx + uy * vy) / d2
+        s = (ux * vy - uy * vx) / d2
+        rows = ((c, -s), (s, c))
+    else:
+        c = (ux * vx - uy * vy) / d2
+        s = (uy * vx + ux * vy) / d2
+        rows = ((c, s), (s, -c))
+    (r00, r01), (r10, r11) = rows
+    return Motion.unchecked(
+        rows, (q1.x - (r00 * p1.x + r01 * p1.y), q1.y - (r10 * p1.x + r11 * p1.y))
+    )
+
+
+def ref_motion_ids(motions):
+    """motion_ids keyed on the integer pairs of the Fraction entries."""
+    ids = []
+    distinct: list[Motion] = []
+    rational: dict = {}
+    for m in motions:
+        if m.is_rational():
+            key = tuple(
+                map(Fraction.as_integer_ratio, (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty))
+            )
+            got = rational.get(key)
+            if got is None:
+                rational[key] = got = len(distinct)
+                distinct.append(m)
+        else:
+            got = next((i for i, known in enumerate(distinct) if known == m), None)
+            if got is None:
+                got = len(distinct)
+                distinct.append(m)
+        ids.append(got)
+    return ids, distinct
+
+
+def entries(m: Motion):
+    return (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty)
+
+
+def same_motion(got: Motion, want: Motion) -> bool:
+    """Entry by entry, exactly, in the same number form."""
+    return all(
+        type(x) is type(y) and equals(x, y) for x, y in zip(entries(got), entries(want))
+    )
+
+
+def same_point(got: Point, want: Point) -> bool:
+    return (
+        type(got.x) is type(want.x) and type(got.y) is type(want.y)
+        and equals(got.x, want.x) and equals(got.y, want.y)
+    )
+
+
+@lru_cache(maxsize=None)
+def suite_steps():
+    """(g, a_n, b_n) at every step of the 8-point suite."""
+    return tuple(
+        step for i in instance_suite(7, 6, max_points=8) for step in induction_steps(i)
+    )
+
+
+def sqrt2_fold():
+    return fold_boundary_region(
+        [P(0, 0), P(2, 0), P(0, 2)],
+        P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), P(sqrt(2), sqrt(2)),
+    )
 
 
 class TestConstruction:
@@ -200,3 +324,126 @@ class TestKind:
 
 def self_rotation() -> Motion:
     return Motion((("3/5", "-4/5"), ("4/5", "3/5")), (1, 2))
+
+
+class TestAgainstFractionFormulas:
+    """The integer motion layer against the entry-wise references."""
+
+    def test_images_reflections_and_compositions_at_every_step(self):
+        compared = 0
+        for g, a, b in suite_steps():
+            vs, ms = g.vertices, g.motions
+            for i, j, k, mi in g.triangles:
+                for p in (vs[i], vs[j], vs[k]):
+                    assert same_point(ms[mi].apply(p), ref_apply(ms[mi], p))
+            for prev, m in zip(ms, ms[1:]):
+                assert same_motion(compose(m, prev), ref_compose(m, prev))
+            for m in ms:
+                assert same_point(m.apply(a), ref_apply(m, a))
+                cut = cut_line(m, a, b)
+                if cut is None:
+                    continue
+                mirror = reflection_across_line(cut)
+                assert same_motion(mirror, ref_reflection(cut))
+                assert same_motion(compose(m, mirror), ref_compose(m, mirror))
+                assert same_motion(compose(mirror, m), ref_compose(mirror, m))
+                compared += 1
+        assert compared > 100
+
+    def test_two_point_solves_at_every_step(self):
+        for g, _, _ in suite_steps():
+            vs, ms = g.vertices, g.motions
+            for i, j, k, mi in g.triangles:
+                m = ms[mi]
+                p1, p2 = vs[i], vs[k]
+                q1, q2 = m.apply(p1), m.apply(p2)
+                for det in (1, -1):
+                    got = from_two_pairs(p1, q1, p2, q2, det)
+                    assert same_motion(got, ref_from_two_pairs(p1, q1, p2, q2, det))
+                    assert same_motion(got, m) == (det == m.determinant_sign())
+                with pytest.raises(DistanceMismatch):
+                    from_two_pairs(p1, q1, p2, P(q2.x + 1, q2.y), 1)
+                with pytest.raises(CoincidentSources):
+                    from_two_pairs(p1, q1, p1, q2, 1)
+
+    def test_sqrt2_fold_motions(self):
+        fr = sqrt2_fold()
+        a, b, pivot, swing = P(0, 0), P(0, 0), P(2, 0), P(0, 2)
+        gswing = P(sqrt(2), sqrt(2))
+        for det in (1, -1):
+            got = from_two_pairs(a, b, pivot, pivot, det)
+            assert same_motion(got, ref_from_two_pairs(a, b, pivot, pivot, det))
+            got = from_two_pairs(a, b, swing, gswing, det)
+            assert same_motion(got, ref_from_two_pairs(a, b, swing, gswing, det))
+            for p in (pivot, swing, gswing, P(1, 1)):
+                assert same_point(got.apply(p), ref_apply(got, p))
+        mirror = reflection_across_line(fr.fold_line)
+        assert same_motion(mirror, ref_reflection(fr.fold_line))
+        assert same_motion(fr.reflected_part, ref_compose(fr.rigid_part, mirror))
+        assert same_motion(compose(mirror, mirror), ref_compose(mirror, mirror))
+        for p in (*fr.polygon, gswing):
+            for m in (fr.rigid_part, fr.reflected_part, mirror):
+                assert same_point(m.apply(p), ref_apply(m, p))
+        assert fr.reflected_part.apply(swing) == gswing
+
+    @given(coords, coords, coords, coords, coords, coords, coords, coords)
+    @settings(max_examples=60, deadline=None)
+    def test_random_lines_and_points(self, a, b, c, e, f, h, px, py):
+        if (a == 0 and b == 0) or (e == 0 and f == 0):
+            return
+        first = reflection_across_line(Line(a, b, c))
+        second = reflection_across_line(Line(e, f, h))
+        assert same_motion(first, ref_reflection(Line(a, b, c)))
+        turn = compose(first, second)
+        assert same_motion(turn, ref_compose(first, second))
+        glide = compose(Motion.translation(px, h), turn)
+        assert same_motion(glide, ref_compose(Motion.translation(px, h), turn))
+        probe = P(px, py)
+        for m in (first, turn, glide, glide.inverse()):
+            assert same_point(m.apply(probe), ref_apply(m, probe))
+
+    def test_equal_exactly_when_forms_are_equal(self):
+        for g, _, _ in suite_steps():
+            ms = g.motions
+            for m in ms:
+                copy = Motion.unchecked(m.rows, (m.tx, m.ty))
+                assert copy == m and copy.form() == m.form()
+                moved = Motion.unchecked(m.rows, (m.tx + Fraction(1, 10**9), m.ty))
+                assert moved != m and moved.form() != m.form()
+            for i, m in enumerate(ms):
+                for n in ms[:i]:
+                    same = all(x == y for x, y in zip(entries(m), entries(n)))
+                    assert (m == n) == same == (m.form() == n.form())
+
+    def test_equality_across_denominators_and_number_forms(self):
+        # Unchecked rows with the same numerators over another d, and a
+        # rational value held as an irrational-form expression.
+        half = Motion.unchecked((("1/2", 0), (0, "1/2")), (0, 0))
+        assert half != Motion.unchecked(((1, 0), (0, 1)), (0, 0))
+        third = sqrt(2) * sqrt(2) / 6
+        assert not Motion.translation(third, 0).is_rational()
+        assert Motion.translation(third, 0) == Motion.translation("1/3", 0)
+        assert Motion.translation(third, 0) != Motion.translation("1/2", 0)
+
+    def test_rational_form_is_canonical(self):
+        for g, _, _ in suite_steps():
+            for m in g.motions:
+                *scaled, d = m.form()
+                assert d == lcm(*(v.denominator for v in entries(m)))
+                assert all(type(x) is int for x in scaled)
+                assert [Fraction(x, d) for x in scaled] == list(entries(m))
+
+    def test_motion_ids_match_the_old_key(self):
+        for g, a, b in suite_steps():
+            listed = [g.restrict_motion(t) for t in range(len(g))]
+            listed += [Motion.unchecked(m.rows, (m.tx, m.ty)) for m in g.motions]
+            listed += [compose(m, Motion.identity()) for m in g.motions[::2]]
+            listed += [
+                Motion.unchecked(((1, 0), (0, 1)), (0, 0)),
+                Motion.unchecked((("1/2", 0), (0, "1/2")), (0, 0)),
+            ]
+            ids, distinct = motion_ids(listed)
+            ref_ids, ref_distinct = ref_motion_ids(listed)
+            assert ids == ref_ids
+            assert all(x is y for x, y in zip(distinct, ref_distinct))
+            assert len(distinct) == len(ref_distinct) > len(g.motions)
