@@ -215,7 +215,7 @@ def cut_line(g: Motion, a: Point, b: Point) -> Line | None:
     if sign(u) == 0 and sign(v) == 0:
         return None
     k = 2 * aw * bw
-    return Line.from_form(
+    return Line(
         u * k, v * k, (ax * ax + ay * ay) * dw * dw - (dx * dx + dy * dy) * aw * aw
     )
 

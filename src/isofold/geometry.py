@@ -171,18 +171,6 @@ class Line:
             raise ValueError("line coefficients (a, b) must not both be zero")
         self._form = None
 
-    @classmethod
-    def from_form(cls, a, b, c) -> "Line":
-        """The line a*x + b*y = c, keeping (a, b, c) as its integer form.
-
-        Ints, or exact numbers where irrational: any triple serves as
-        its own form, since a form only has to be a positive multiple
-        of the coefficients.
-        """
-        line = cls(a, b, c)
-        line._form = (a, b, c)
-        return line
-
     def form(self):
         """(a, b, c) times their common denominator, built once.
 

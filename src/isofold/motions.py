@@ -132,11 +132,12 @@ class Motion:
 
     def inverse(self) -> "Motion":
         # R orthogonal, so the inverse rotation part is the transpose.
-        r00, r01, r10, r11, tx, ty, d = self.form()
-        dd = d * d
         return Motion.unchecked(
             ((self.r00, self.r10), (self.r01, self.r11)),
-            (quotient(-(r00 * tx + r10 * ty), dd), quotient(-(r01 * tx + r11 * ty), dd)),
+            (
+                -(self.r00 * self.tx + self.r10 * self.ty),
+                -(self.r01 * self.tx + self.r11 * self.ty),
+            ),
         )
 
     def is_rational(self) -> bool:

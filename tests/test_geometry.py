@@ -107,14 +107,9 @@ class TestLine:
 
     def test_form(self):
         assert Line("1/2", "-1/3", 2).form() == (3, -2, 12)
-        given = Line.from_form(4, -4, -8)
-        assert given.form() == (4, -4, -8) and given == Line(1, -1, -2)
-        for p in (P(0, 4), P(0, 0), P(1, 3)):
-            assert given.side(p) == Line(1, -1, -2).side(p)
-        root = Line.from_form(sqrt(2), 0, sqrt(2))  # x = 1
+        root = Line(sqrt(2), 0, sqrt(2))  # x = 1
+        assert root.form() == (sqrt(2), 0, sqrt(2))
         assert root.side(P(2, 0)) == 1 and root.contains(P(1, 5))
-        with pytest.raises(ValueError):
-            Line.from_form(0, 0, 1)
 
 
 def bisector(p: Point, q: Point):
