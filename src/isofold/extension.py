@@ -21,9 +21,10 @@ with its fan motion and each hull contact with its cell's motion and
 which ends lie on the cut; fans, chains and cones read them, and a step
 locates a_n alone.
 
-All branch decisions are exact.  With rational input the whole pipeline
-stays rational: motions come from two-point solves over squared
-distances and never take a square root.
+All branch decisions are exact, and the whole pipeline is rational:
+points, lines and motions refuse irrational values, and motions come
+from two-point solves over squared distances that never take a square
+root.
 """
 
 from __future__ import annotations
@@ -141,9 +142,6 @@ class Instance:
             raise ValueError("sources and targets must pair up")
         if not self.sources:
             raise ValueError("need at least one point pair")
-        for p in self.sources + self.targets:
-            if not p.is_rational:
-                raise ValueError("instance points must have rational coordinates")
 
     def __len__(self):
         return len(self.sources)
@@ -367,6 +365,11 @@ def fold_boundary_region(
     folded across cut_line(rigid, swing, g_swing), where
     |g_swing - rigid(x)| = |swing - x|.  That line passes through a_n,
     since rigid(a_n) = b_n and |b_n - g_swing| = |a_n - swing|.
+
+    The step passes the chain's counterclockwise-first end as the pivot,
+    so a cone pins that end and folds towards the other.  A mirror
+    reverses the boundary's order, so the map of a mirrored instance
+    with a folded chain is a different valid map, not the mirror image.
     """
     cone = tuple(cone)
     if cone[0] != a_n:

@@ -1,14 +1,9 @@
 """JSON file formats for instances and produced maps.
 
-Rationals travel as "p/q" strings so nothing is ever rounded.
-Irrational algebraic values travel as flat expression DAGs: a node list
-in dependency order whose args are indices of earlier nodes, with the
-value at the final node and a decimal sidecar attached purely as a human
-annotation.  Keeping the DAG flat preserves subexpression sharing;
-expanding shared nodes into trees would grow files exponentially and
-make exact zero tests on reparsed values intractably slow.
-Serialization is canonical (sorted keys, fixed indentation), so equal
-objects produce byte-identical documents.
+Every number, in instances and maps alike, travels as a "p/q" string,
+so nothing is ever rounded; anything else where a number belongs is a
+parse error.  Serialization is canonical (sorted keys, fixed
+indentation), so equal objects produce byte-identical documents.
 """
 
 from __future__ import annotations
@@ -19,19 +14,6 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .exactreal import (
-    DivisionByZero,
-    ExactNumber,
-    NegativeRadicand,
-    _OP_NAMES,
-    add,
-    decimal_string,
-    div,
-    mul,
-    number,
-    sqrt,
-    sub,
-)
 from .extension import Instance
 from .geometry import ConvexPolygon, Point
 from .motions import Motion
@@ -42,8 +24,6 @@ __all__ = [
     "ParseError",
     "NumberTooLong",
     "MapDocument",
-    "number_to_json",
-    "number_from_json",
     "serialize_instance",
     "parse_instance",
     "instance_hash",
@@ -58,17 +38,6 @@ TOOL_VERSION = "0.1.0"
 # ASCII digits over the whole string: \d would take any Unicode digit,
 # and $ a final newline, both of which Fraction accepts.
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
-_OPS = {"add": add, "sub": sub, "mul": mul, "div": div}
-
-# Deciding that a value is zero refines it to a separation bound of
-# degree 2**k for k distinct sqrt nodes (Burnikel et al., "A strong and
-# easily computable separation bound for arithmetic expressions
-# involving radicals", 2000).  On a Xeon under Python 3.11 one zero test
-# took 0.08 s with 12 nodes, 1.2 s with 14, 19 s with 16 and over 4
-# minutes with 18.  One predicate may combine numbers from several
-# rows, so the cap counts a whole document.  A fold map onto
-# (sqrt 2, sqrt 2) already holds 16.
-MAX_SQRT_NODES = 16
 
 
 class ParseError(ValueError):
@@ -81,6 +50,15 @@ class NumberTooLong(ValueError):
 
 def _canonical(doc: dict) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _load_json(text: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid JSON: nested too deeply") from None
 
 
 def _parse_rational(text) -> Fraction:
@@ -104,90 +82,14 @@ def _rational_text(q: Fraction) -> str:
         raise NumberTooLong(f"number too long for a map file: {exc}") from None
 
 
-def number_to_json(x):
-    x = number(x)
-    if type(x) is Fraction:
-        return _rational_text(x)
-    rows = []
-    seen = {}
-
-    def visit(node) -> int:
-        key = id(node)
-        if key in seen:
-            return seen[key]
-        leaf = number(node)
-        if type(leaf) is Fraction:
-            rows.append(_rational_text(leaf))
-        else:
-            args = [visit(a) for a in node._args]
-            rows.append({"op": _OP_NAMES[node._op], "args": args})
-        seen[key] = len(rows) - 1
-        return seen[key]
-
-    visit(x)
-    return {"nodes": rows, "approx": decimal_string(x, 12)}
-
-
-def number_from_json(obj, roots=None):
-    """Rebuild a number; the value is the final node of the DAG.
-
-    roots collects the irrational square roots built so far and is
-    shared by every number of one document.
-    """
-    if roots is None:
-        roots = []
-    if isinstance(obj, str):
-        return _parse_rational(obj)
-    if not isinstance(obj, dict):
-        raise ParseError(f"not a number encoding: {obj!r}")
-    nodes = obj.get("nodes")
-    if not isinstance(nodes, list) or not nodes:
-        raise ParseError("expression needs a nonempty node list")
-    built = []
-    for row in nodes:
-        if isinstance(row, str):
-            built.append(ExactNumber(_parse_rational(row)))
-            continue
-        if not isinstance(row, dict):
-            raise ParseError(f"bad expression node: {row!r}")
-        op = row.get("op")
-        args = row.get("args")
-        indices_ok = isinstance(args, list) and all(
-            isinstance(a, int) and not isinstance(a, bool) and 0 <= a < len(built)
-            for a in args
-        )
-        if not indices_ok:
-            raise ParseError("expression args must index earlier nodes")
-        children = [built[a] for a in args]
-        try:
-            if op == "sqrt":
-                if len(children) != 1:
-                    raise ParseError("sqrt takes one argument")
-                root = sqrt(children[0])
-                if type(number(root)) is not Fraction:
-                    roots.append(root)
-                    if len(roots) > MAX_SQRT_NODES:
-                        raise ParseError(f"more than {MAX_SQRT_NODES} square roots")
-                built.append(root)
-            elif op in _OPS:
-                if len(children) != 2:
-                    raise ParseError(f"{op} takes two arguments")
-                built.append(_OPS[op](children[0], children[1]))
-            else:
-                raise ParseError(f"unknown operation: {op!r}")
-        except (DivisionByZero, NegativeRadicand) as exc:
-            raise ParseError(str(exc)) from None
-    return built[-1]
-
-
 def _point_to_json(p: Point) -> list:
-    return [number_to_json(p.x), number_to_json(p.y)]
+    return [_rational_text(p.x), _rational_text(p.y)]
 
 
-def _point_from_json(obj, roots) -> Point:
+def _point_from_json(obj) -> Point:
     if not isinstance(obj, list) or len(obj) != 2:
         raise ParseError(f"a point is a two-element list, got {obj!r}")
-    return Point(number_from_json(obj[0], roots), number_from_json(obj[1], roots))
+    return Point(_parse_rational(obj[0]), _parse_rational(obj[1]))
 
 
 # --- instances ----------------------------------------------------------
@@ -204,10 +106,7 @@ def serialize_instance(inst: Instance) -> str:
 
 
 def parse_instance(text: str) -> Instance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict) or not isinstance(doc.get("points"), list):
         raise ParseError('instance file must be {"points": [...]}')
     sources = []
@@ -251,10 +150,10 @@ def serialize_map(f: PLMap, inst_hash: str, audits: Optional[dict] = None) -> st
             "motions": [
                 {
                     "r": [
-                        [number_to_json(m.r00), number_to_json(m.r01)],
-                        [number_to_json(m.r10), number_to_json(m.r11)],
+                        [_rational_text(m.r00), _rational_text(m.r01)],
+                        [_rational_text(m.r10), _rational_text(m.r11)],
                     ],
-                    "t": [number_to_json(m.tx), number_to_json(m.ty)],
+                    "t": [_rational_text(m.tx), _rational_text(m.ty)],
                 }
                 for m in f.motions
             ],
@@ -265,7 +164,7 @@ def serialize_map(f: PLMap, inst_hash: str, audits: Optional[dict] = None) -> st
     return _canonical(doc)
 
 
-def _motion_from_json(obj, roots) -> Motion:
+def _motion_from_json(obj) -> Motion:
     if not isinstance(obj, dict):
         raise ParseError("a motion is an object with r and t")
     r = obj.get("r")
@@ -279,10 +178,10 @@ def _motion_from_json(obj, roots) -> Motion:
         raise ParseError("a motion needs a 2x2 r matrix and a 2-vector t")
     return Motion.unchecked(
         (
-            (number_from_json(r[0][0], roots), number_from_json(r[0][1], roots)),
-            (number_from_json(r[1][0], roots), number_from_json(r[1][1], roots)),
+            (_parse_rational(r[0][0]), _parse_rational(r[0][1])),
+            (_parse_rational(r[1][0]), _parse_rational(r[1][1])),
         ),
-        (number_from_json(t[0], roots), number_from_json(t[1], roots)),
+        (_parse_rational(t[0]), _parse_rational(t[1])),
     )
 
 
@@ -294,10 +193,7 @@ def parse_map(text: str) -> MapDocument:
     be fed to the audits; only shape, type and index-range errors fail
     here.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _load_json(text)
     if not isinstance(doc, dict):
         raise ParseError("map file must be a JSON object")
     for key in ("instance_hash", "tool_version", "map"):
@@ -309,13 +205,12 @@ def parse_map(text: str) -> MapDocument:
     for key in ("domain", "vertices", "triangles", "motions"):
         if not isinstance(body.get(key), list):
             raise ParseError(f'map body lacks the {key!r} list')
-    roots = []
     try:
-        domain = ConvexPolygon([_point_from_json(v, roots) for v in body["domain"]])
+        domain = ConvexPolygon([_point_from_json(v) for v in body["domain"]])
     except ValueError as exc:
         raise ParseError(f"bad domain polygon: {exc}") from None
-    vertices = [_point_from_json(v, roots) for v in body["vertices"]]
-    motions = [_motion_from_json(m, roots) for m in body["motions"]]
+    vertices = [_point_from_json(v) for v in body["vertices"]]
+    motions = [_motion_from_json(m) for m in body["motions"]]
     try:
         f = PLMap(domain, vertices, body["triangles"], motions)
     except (TypeError, ValueError, IndexError) as exc:

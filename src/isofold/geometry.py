@@ -1,18 +1,17 @@
 """Exact planar geometry: points, lines, convex polygons, predicates.
 
-Coordinates are exact numbers in the normal form of ``exactreal.number``:
-Fractions, or ExactNumbers where a value is irrational.  Every predicate
-is the exact sign of one integer expression over the points' cached
-``homogeneous`` coordinates (X, Y, W): orientation is the 3x3
-determinant of three homogeneous rows, expanded as an ``edge_form``;
-a line's side is its integer form, built once per line, at (X, Y, W);
-areas are that determinant or the shoelace sum over the vertices'
-common W, turned into a number once; a clip crossing is built from the
-line's two homogeneous values at the edge's ends.  A rational test is
-integer arithmetic alone, and an irrational point's (x, y, 1) makes the
-same expression exact.  Degenerate results (empty or lower-dimensional
-clips, flat hulls) are first-class values, not errors, so callers can
-branch on them without try/except.
+Coordinates are Fractions: ``Point`` and ``Line`` pass each value
+through ``exactreal.number`` and reject an irrational one with
+ValueError.  Every predicate is the exact sign of one integer
+expression over the points' cached ``homogeneous`` coordinates
+(X, Y, W): orientation is the 3x3 determinant of three homogeneous
+rows, expanded as an ``edge_form``; a line's side is its integer form,
+built once per line, at (X, Y, W); areas are that determinant or the
+shoelace sum over the vertices' common W, turned into a number once; a
+clip crossing is built from the line's two homogeneous values at the
+edge's ends.  Degenerate results (empty or lower-dimensional clips,
+flat hulls) are first-class values, not errors, so callers can branch
+on them without try/except.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ __all__ = [
 
 
 class Point:
-    """An exact point of the plane.
+    """A rational point of the plane.
 
     Points are immutable: ``homogeneous`` computes a point's integer
     coordinates on first use and keeps them.
@@ -56,8 +55,12 @@ class Point:
     __slots__ = ("x", "y", "_h")
 
     def __init__(self, x, y):
-        self.x = number(x)
-        self.y = number(y)
+        x = number(x)
+        y = number(y)
+        if not (type(x) is type(y) is Fraction):
+            raise ValueError("point coordinates must be rational")
+        self.x = x
+        self.y = y
         self._h = None
 
     def __eq__(self, other):
@@ -66,10 +69,6 @@ class Point:
         return self.x == other.x and self.y == other.y
 
     __hash__ = None
-
-    @property
-    def is_rational(self) -> bool:
-        return type(self.x) is Fraction and type(self.y) is Fraction
 
     def __repr__(self):
         return f"Point({self.x!r}, {self.y!r})"
@@ -92,22 +91,17 @@ def _det(p: Point, q: Point, r: Point):
 
 
 def homogeneous(p: Point):
-    """(X, Y, W) with p = (X/W, Y/W) and W > 0, computed once per point.
+    """Integers (X, Y, W) with p = (X/W, Y/W), computed once per point.
 
-    Integers with W the lcm of the denominators for a rational point,
-    (x, y, 1) otherwise, so that ``a*X + b*Y - c*W`` is one expression
-    for both.
+    W > 0 is the lcm of the coordinates' denominators, so the triple is
+    canonical: equal points have equal triples.
     """
     h = p._h
     if h is None:
         x, y = p.x, p.y
-        if p.is_rational:
-            dx, dy = x.denominator, y.denominator
-            w = lcm(dx, dy)
-            h = x.numerator * (w // dx), y.numerator * (w // dy), w
-        else:
-            h = x, y, 1
-        p._h = h
+        dx, dy = x.denominator, y.denominator
+        w = lcm(dx, dy)
+        h = p._h = x.numerator * (w // dx), y.numerator * (w // dy), w
     return h
 
 
@@ -116,8 +110,7 @@ def edge_form(p: Point, q: Point):
 
     Here (X, Y, W) = homogeneous(r): the form is the 3x3 determinant of
     the homogeneous p, q and r, expanded along r's row, which is
-    orientation scaled by the positive W of p, q and r.  Rational
-    endpoints give integers; otherwise the entries are exact numbers.
+    orientation scaled by the positive W of p, q and r.
     """
     px, py, pw = homogeneous(p)
     qx, qy, qw = homogeneous(q)
@@ -155,7 +148,7 @@ class Segment:
 
 
 class Line:
-    """The locus a*x + b*y = c with (a, b) != (0, 0).
+    """The locus a*x + b*y = c with rational a, b, c and (a, b) != (0, 0).
 
     The integer form, (a, b, c) over their common denominator, is built
     on first use and kept.
@@ -164,18 +157,20 @@ class Line:
     __slots__ = ("a", "b", "c", "_form")
 
     def __init__(self, a, b, c):
-        self.a = number(a)
-        self.b = number(b)
-        self.c = number(c)
-        if sign(self.a) == 0 and sign(self.b) == 0:
+        a = number(a)
+        b = number(b)
+        c = number(c)
+        if not (type(a) is type(b) is type(c) is Fraction):
+            raise ValueError("line coefficients must be rational")
+        if sign(a) == 0 and sign(b) == 0:
             raise ValueError("line coefficients (a, b) must not both be zero")
+        self.a = a
+        self.b = b
+        self.c = c
         self._form = None
 
     def form(self):
-        """(a, b, c) times their common denominator, built once.
-
-        Ints for a rational line, the coefficients otherwise.
-        """
+        """(a, b, c) times their common denominator, as ints, built once."""
         if self._form is None:
             self._form = tuple(common_denominator((self.a, self.b, self.c))[0])
         return self._form
@@ -183,8 +178,7 @@ class Line:
     def homogeneous_value(self, p: Point):
         """a*X + b*Y - c*W over the integer form and homogeneous(p).
 
-        That is a*x + b*y - c at p times a positive factor: an int for a
-        rational line and point, an exact number otherwise.
+        That is a*x + b*y - c at p times a positive int.
         """
         a, b, c = self.form()
         x, y, w = homogeneous(p)
@@ -193,9 +187,6 @@ class Line:
     def side(self, p: Point) -> int:
         """Sign of a*x + b*y - c at p; 0 means p lies on the line."""
         return sign(self.homogeneous_value(p))
-
-    def contains(self, p: Point) -> bool:
-        return self.side(p) == 0
 
     def __eq__(self, other):
         # Same locus, up to scaling of the coefficients.

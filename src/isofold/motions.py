@@ -1,20 +1,22 @@
-"""Planar isometries x -> R x + t with exact orthogonal R, det = +-1.
+"""Planar isometries x -> R x + t with rational orthogonal R, det = +-1.
 
-Motions built from rational data stay rational end to end: the
-two-point constructor solves for the rotation or reflection entries
-with squared distances only, so no square root ever enters.
+Motions stay rational end to end: the two-point constructor solves for
+the rotation or reflection entries with squared distances only, so no
+square root ever enters, and every constructor rejects an irrational
+entry with ValueError.
 
-Each motion keeps its entries as exact numbers and builds, once, its
+Each motion keeps its entries as Fractions and builds, once, its
 integer form (r00, r01, r10, r11, tx, ty, d): the entries times their
-common denominator d > 0, ints for a rational motion and the entries
-over d = 1 otherwise (``exactreal.common_denominator``).  Images,
+common denominator d > 0 (``exactreal.common_denominator``).  Images,
 compositions, reflections and two-point solves are integer expressions
 over these forms, the lines' forms and ``geometry.homogeneous``, each
-result entry turned into a number by one ``quotient``; a rational
-motion's form is canonical, so it keys the motion exactly.
+result entry turned into a number by one ``quotient``; the form is
+canonical, so it keys the motion exactly.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from .exactreal import common_denominator, number, quotient, sign
 from .geometry import Line, Point, homogeneous, orientation
@@ -46,9 +48,10 @@ class CoincidentSources(ValueError):
 class Motion:
     """An isometry of the plane.
 
-    Entries are exact numbers in the normal form of ``exactreal.number``.
-    The checked constructor verifies orthogonality; parse paths that must
-    surface broken files to the structural audit use ``Motion.unchecked``.
+    Entries are Fractions, the normal form of ``exactreal.number``; an
+    irrational entry is a ValueError.  The checked constructor verifies
+    orthogonality; parse paths that must surface broken files to the
+    structural audit use ``Motion.unchecked``.
     """
 
     __slots__ = ("r00", "r01", "r10", "r11", "tx", "ty", "_det", "_form")
@@ -61,15 +64,14 @@ class Motion:
 
     @classmethod
     def unchecked(cls, rows, translation) -> "Motion":
-        m = object.__new__(cls)
         (a, b), (c, d) = rows
         tx, ty = translation
-        m.r00 = number(a)
-        m.r01 = number(b)
-        m.r10 = number(c)
-        m.r11 = number(d)
-        m.tx = number(tx)
-        m.ty = number(ty)
+        entries = number(a), number(b), number(c), number(d), number(tx), number(ty)
+        for v in entries:
+            if type(v) is not Fraction:
+                raise ValueError("motion entries must be rational")
+        m = object.__new__(cls)
+        m.r00, m.r01, m.r10, m.r11, m.tx, m.ty = entries
         m._det = None
         m._form = None
         return m
@@ -85,9 +87,8 @@ class Motion:
     def form(self):
         """(r00, r01, r10, r11, tx, ty, d): the entries times d > 0.
 
-        Built once.  Ints over the lcm d of the reduced denominators
-        for a rational motion, which makes the form canonical; the
-        entries over d = 1 otherwise.
+        Built once: ints over the lcm d of the reduced denominators,
+        which makes the form canonical.
         """
         f = self._form
         if f is None:
@@ -115,9 +116,6 @@ class Motion:
             self._det = sign(r00 * r11 - r01 * r10)
         return self._det
 
-    def is_orientation_preserving(self) -> bool:
-        return self.determinant_sign() == 1
-
     def apply(self, p: Point) -> Point:
         """The image R p + t: the form at homogeneous(p), over d * W."""
         r00, r01, r10, r11, tx, ty, d = self.form()
@@ -129,20 +127,6 @@ class Motion:
         )
 
     __call__ = apply
-
-    def inverse(self) -> "Motion":
-        # R orthogonal, so the inverse rotation part is the transpose.
-        return Motion.unchecked(
-            ((self.r00, self.r10), (self.r01, self.r11)),
-            (
-                -(self.r00 * self.tx + self.r10 * self.ty),
-                -(self.r01 * self.tx + self.r11 * self.ty),
-            ),
-        )
-
-    def is_rational(self) -> bool:
-        # Normal forms are never ints, so only a rational form holds them.
-        return type(self.form()[0]) is int
 
     def kind(self) -> str:
         r00, r01, r10, r11, tx, ty, d = self.form()
@@ -224,7 +208,7 @@ def from_two_pairs(p1: Point, q1: Point, p2: Point, q2: Point, det: int) -> Moti
     """The unique motion of determinant sign det with p1 -> q1, p2 -> q2.
 
     Entries come out of linear solves over squared distances, so
-    rational inputs give a rational motion.  In homogeneous coordinates
+    no square root is taken.  In homogeneous coordinates
     u = p2 - p1 = (ux, uy) / uw and v = q2 - q1 = (vx, vy) / vw; the
     rotation part is (u.v, u x v) / |u|^2 for det = +1, with v mirrored
     for det = -1, which is (ux vx + uy vy) uw / (vw |(ux, uy)|^2) and

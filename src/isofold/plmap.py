@@ -9,10 +9,11 @@ a ValidationReport rather than an exception mid-parse.
 from __future__ import annotations
 
 from bisect import bisect_left
+from fractions import Fraction
 from itertools import groupby
 from operator import itemgetter
 
-from .exactreal import equals, number, quotient, sign
+from .exactreal import equals, quotient, sign
 from .geometry import (
     ConvexPolygon,
     Location,
@@ -134,8 +135,8 @@ class PLMap:
     def locate_homogeneous(self, x, y, w) -> int:
         """``locate`` for the point (x/w, y/w), given with w > 0.
 
-        Ints for a rational point, as ``geometry.homogeneous`` gives
-        them, skip building a Point and reducing its coordinates.
+        Ints, as ``geometry.homogeneous`` gives them, skip building a
+        Point and reducing its coordinates.
         """
         for t, (e0, e1, e2) in enumerate(self._cell_forms()):
             if (
@@ -233,9 +234,9 @@ class PLMap:
         edges = []
         for u, v, (a, b, c), face in walk:
             if sign(a) != 0:
-                key, side, pu, pv = (1, number(b) / a, number(c) / a), sign(a), u.y, v.y
+                key, side, pu, pv = (1, Fraction(b, a), Fraction(c, a)), sign(a), u.y, v.y
             else:
-                key, side, pu, pv = (0, 1, number(c) / b), sign(b), u.x, v.x
+                key, side, pu, pv = (0, 1, Fraction(c, b)), sign(b), u.x, v.x
             edges.append((key, side, ((pu, u), (pv, v)), face))
         edges.sort(key=itemgetter(0))
         pieces = []
@@ -336,27 +337,19 @@ class PLMap:
 def motion_ids(motions):
     """Index of each motion among the distinct ones, and those motions.
 
-    Rational motions share an index through a dictionary keyed by their
+    Equal motions share an index through a dictionary keyed by their
     integer forms, which are canonical and hash far faster than the
-    Fractions; irrational ones fall back to an exact linear scan.
+    Fractions.
     """
     ids = []
     distinct: list[Motion] = []
-    rational: dict = {}
+    index: dict = {}
     for m in motions:
-        if m.is_rational():
-            key = m.form()
-            got = rational.get(key)
-            if got is None:
-                rational[key] = got = len(distinct)
-                distinct.append(m)
-        else:
-            got = next(
-                (i for i, known in enumerate(distinct) if known is m or known == m), None
-            )
-            if got is None:
-                got = len(distinct)
-                distinct.append(m)
+        key = m.form()
+        got = index.get(key)
+        if got is None:
+            index[key] = got = len(distinct)
+            distinct.append(m)
         ids.append(got)
     return ids, distinct
 
@@ -365,30 +358,23 @@ def assemble(domain: ConvexPolygon, pieces) -> PLMap:
     """Build a PLMap from (Triangle or ConvexPolygon, Motion) pairs.
 
     A Triangle becomes one row as given and must be positively oriented;
-    a ConvexPolygon becomes its fan from its first vertex.  Rational
-    vertices dedupe through a dictionary keyed by the integer pairs of
-    their coordinates, irrational ones by an exact linear scan; motions
-    dedupe through ``motion_ids``.
+    a ConvexPolygon becomes its fan from its first vertex.  Vertices
+    dedupe through a dictionary keyed by their canonical ``homogeneous``
+    triples, motions through ``motion_ids``.
     """
     pieces = list(pieces)
     motion_of, motions = motion_ids([m for _, m in pieces])
     vertices: list[Point] = []
-    rational_index: dict = {}
+    index: dict = {}
     triangles = []
 
     def vertex_id(p: Point) -> int:
-        if p.is_rational:
-            key = (p.x.as_integer_ratio(), p.y.as_integer_ratio())
-            got = rational_index.get(key)
-            if got is None:
-                rational_index[key] = got = len(vertices)
-                vertices.append(p)
-            return got
-        for i, q in enumerate(vertices):
-            if q == p:
-                return i
-        vertices.append(p)
-        return len(vertices) - 1
+        key = homogeneous(p)
+        got = index.get(key)
+        if got is None:
+            index[key] = got = len(vertices)
+            vertices.append(p)
+        return got
 
     for (piece, _), m in zip(pieces, motion_of):
         vs = piece.vertices

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactreal import approximate, decimal_string
+from .exactreal import decimal_string
 from .extension import Instance
 from .geometry import Point
 from .plmap import PLMap
@@ -30,13 +30,9 @@ FILL_BY_KIND = {
 }
 
 
-def _approx(x) -> Fraction:
-    return approximate(x, Fraction(1, 10**13))
-
-
 def _bounds(points):
-    xs = [_approx(p.x) for p in points]
-    ys = [_approx(p.y) for p in points]
+    xs = [p.x for p in points]
+    ys = [p.y for p in points]
     return min(xs), max(xs), min(ys), max(ys)
 
 
@@ -51,8 +47,8 @@ class _Frame:
         self.offset_x = offset_x
 
     def place(self, p: Point) -> str:
-        x = self.offset_x + (_approx(p.x) - self.xmin) * self.scale
-        y = MARGIN + (self.ymax - _approx(p.y)) * self.scale
+        x = self.offset_x + (p.x - self.xmin) * self.scale
+        y = MARGIN + (self.ymax - p.y) * self.scale
         return f"{decimal_string(x, 3)},{decimal_string(y, 3)}"
 
 

@@ -14,13 +14,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .exactreal import (
-    approximate,
-    decimal_string,
-    number,
-    scientific_string,
-    sign,
-)
+from .exactreal import scientific_string, sign
 from .extension import Instance, Violation
 from .geometry import Point, homogeneous, squared_distance
 from .plmap import OutsideDomain, PLMap
@@ -87,19 +81,15 @@ class AuditReport:
         return f"AuditReport({state}, {len(self.checks)} checks)"
 
 
-def _fmt(x) -> str:
-    """"p/q" for a rational, 12 decimal places for an irrational value.
-
-    A value whose digits pass Python's limit on writing an int as a
-    string is written "~d.ddddddddddde+N" instead: 12 significant
+def _fmt(x: Fraction) -> str:
+    """"p/q", or "~d.ddddddddddde+N" for a value whose digits pass
+    Python's limit on writing an int as a string: 12 significant
     digits, rounded half-up.
     """
-    x = number(x)
     try:
-        return str(x) if type(x) is Fraction else decimal_string(x, 12)
+        return str(x)
     except ValueError:
-        # An irrational value fails only when huge, so an error of 1 is negligible.
-        return "~" + scientific_string(x if type(x) is Fraction else approximate(x, 1))
+        return "~" + scientific_string(x)
 
 
 def _fmt_point(p: Point) -> dict:
@@ -137,11 +127,10 @@ def _fan(domain):
 
     Returns (w, pieces).  The vertices are scaled to a common
     denominator w0, the lcm of their homogeneous ones, so their
-    numerators are ints for a rational domain (exact numbers
-    otherwise); w = w0 * 2^DENOMINATOR_BITS is the denominator of every
-    sample.  Each fan triangle a, b, c is a piece (cumulative area2,
-    a * 2^DENOMINATOR_BITS, b - a, c - a) in those numerators, so the
-    areas carry a factor w0^2.
+    numerators are ints; w = w0 * 2^DENOMINATOR_BITS is the denominator
+    of every sample.  Each fan triangle a, b, c is a piece (cumulative
+    area2, a * 2^DENOMINATOR_BITS, b - a, c - a) in those numerators, so
+    the areas carry a factor w0^2.
     """
     coords = [homogeneous(v) for v in domain.vertices]
     w0 = lcm(*(w for _, _, w in coords))
@@ -179,7 +168,7 @@ def _sample_point(rng: random.Random, fan) -> Point:
     """The next sample of rng as a Point."""
     w = fan[0]
     x, y = _sample(rng, fan)
-    return Point(number(x) / w, number(y) / w)
+    return Point(Fraction(x, w), Fraction(y, w))
 
 
 def _image(form, x, y, w):
@@ -194,10 +183,10 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
 
     Points are drawn inside the domain from its fan triangles, so every
     comparison stays exact.  Samples and motions are integer numerators
-    over common denominators (exact numbers where the map is
-    irrational): with images P/(d_p w) and Q/(d_q w), a pair fails when
-    |P d_q - Q d_p|^2 exceeds (d_p d_q)^2 |(X_p, Y_p) - (X_q, Y_q)|^2,
-    which is its squared distances scaled by (d_p d_q w)^2.  A failing
+    over common denominators: with images P/(d_p w) and Q/(d_q w), a
+    pair fails when |P d_q - Q d_p|^2 exceeds
+    (d_p d_q)^2 |(X_p, Y_p) - (X_q, Y_q)|^2, which is its squared
+    distances scaled by (d_p d_q w)^2.  A failing
     pair is drawn again as Points from a second generator for its
     witness.  Sampling stops at the MAX_WITNESSES-th failing sample.
     """

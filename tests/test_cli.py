@@ -336,7 +336,7 @@ class TestVerify:
     def test_too_many_square_roots_exit_1(self, golden_path, tmp_path):
         # One vertex coordinate is two separately written 11-term sums of
         # square roots, subtracted: exactly 0, but with 22 sqrt nodes a
-        # zero test refines to a separation bound of degree 2**22.
+        # zero test would refine to a separation bound of degree 2**22.
         path = self.make_map(golden_path, tmp_path)
         nodes = []
         sums = []
@@ -363,6 +363,62 @@ class TestVerify:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["error"] == "parse"
+
+    @pytest.mark.parametrize("number", [
+        {"nodes": ["2", {"op": "sqrt", "args": [0]}]},
+        {"nodes": ["1/3", "2/3", {"op": "add", "args": [0, 1]}]},
+    ], ids=["sqrt", "add"])
+    def test_expression_node_exit_1(self, golden_path, tmp_path, capsys, number):
+        path = self.make_map(golden_path, tmp_path)
+        doc = json.loads((tmp_path / "map.json").read_text())
+        doc["map"]["vertices"][0][0] = number
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        started = time.monotonic()
+        code = main(["verify", "--map", path, "--instance", str(golden_path)])
+        assert time.monotonic() - started < 1
+        assert code == 1
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse"
+
+    def test_squaring_chain_exit_1(self, golden_path, tmp_path):
+        # "1/3" squared 40 times through mul nodes, minus itself: its bits
+        # double per node, so building it would never finish.
+        path = self.make_map(golden_path, tmp_path)
+        nodes = ["1/3"] + [{"op": "mul", "args": [k, k]} for k in range(40)]
+        nodes.append({"op": "sub", "args": [40, 40]})
+        doc = json.loads((tmp_path / "map.json").read_text())
+        doc["map"]["vertices"][0][0] = {"nodes": nodes}
+        (tmp_path / "map.json").write_text(json.dumps(doc))
+        started = time.monotonic()
+        proc = subprocess.run(
+            [sys.executable, "-m", "isofold", "verify", "--map", path,
+             "--instance", str(golden_path)],
+            capture_output=True, text=True, timeout=30,
+        )
+        assert time.monotonic() - started < 1
+        assert proc.returncode == 1
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0])["error"] == "parse"
+
+    def test_deep_json_exit_1_without_traceback(self, golden_path, tmp_path, capsys):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200000 + "]" * 200000)
+        path = self.make_map(golden_path, tmp_path)
+        capsys.readouterr()
+        for argv in (
+            ["extend", "--input", str(deep)],
+            ["verify", "--map", str(deep), "--instance", str(golden_path)],
+            ["verify", "--map", path, "--instance", str(deep)],
+        ):
+            assert main(argv) == 1
+            captured = capsys.readouterr()
+            assert "Traceback" not in captured.err
+            lines = captured.err.strip().splitlines()
+            assert len(lines) == 1
+            assert json.loads(lines[0])["error"] == "parse"
 
     def test_tiling_hole_exit_4_without_traceback(self, tmp_path, capsys):
         # Cell areas sum to the domain's, but one cell lies outside it and

@@ -48,7 +48,13 @@ from isofold.extension import (
 )
 from instancegen import instance_suite, random_instance
 from test_acceptance import CANONICAL, induction_steps, omega_excess
-from test_motions import ref_compose, ref_from_two_pairs, ref_reflection, same_motion
+from test_motions import (
+    inverse,
+    ref_compose,
+    ref_from_two_pairs,
+    ref_reflection,
+    same_motion,
+)
 
 
 def P(x, y) -> Point:
@@ -228,7 +234,7 @@ class TestCutLine:
         if cut is None:
             return False
         assert same_oriented_line(cut, ref_cut_line(g, a, b))
-        ref = ref_bisector(a, g.inverse().apply(b))
+        ref = ref_bisector(a, inverse(g).apply(b))
         assert cut == ref
         keep = ref.side(a)
         for x in probes:
@@ -253,7 +259,13 @@ class TestCutLine:
         assert cut_line(Motion.identity(), P(1, 1), P(1, 1)) is None
 
     def test_sqrt2_fold_line_is_the_reference_preimage(self):
-        gswing = P(sqrt(2), sqrt(2))
+        # No fold line reaches (sqrt 2, sqrt 2): Point refuses it.
+        # test_fold_line_is_the_reference_preimage poses it on (6/5, 8/5).
+        with pytest.raises(ValueError):
+            P(sqrt(2), sqrt(2))
+
+    def test_fold_line_is_the_reference_preimage(self):
+        gswing = P("6/5", "8/5")
         fr = fold_boundary_region(
             [P(0, 0), P(2, 0), P(0, 2)],
             P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), gswing,
@@ -307,7 +319,7 @@ class TestRefitRegion:
         assert tuple(s for s, _ in region.boundary_segments) == (Segment(P(0, 2), P(1, 3)),)
         chord_line = Line(1, -1, -2)
         for s, _ in region.boundary_segments:
-            assert chord_line.contains(s.p) and chord_line.contains(s.q)
+            assert chord_line.side(s.p) == chord_line.side(s.q) == 0
         contacts = [s for s, *_ in region.hull_contacts]
         assert len(contacts) == 2
         assert Segment(P(1, 3), P(0, 4)) in contacts
@@ -348,8 +360,8 @@ class TestRefitRegion:
         right = Line(2, -1, 8)
         assert len(region.boundary_segments) >= 2
         for s, _ in region.boundary_segments:
-            on_left = left.contains(s.p) and left.contains(s.q)
-            on_right = right.contains(s.p) and right.contains(s.q)
+            on_left = left.side(s.p) == left.side(s.q) == 0
+            on_right = right.side(s.p) == right.side(s.q) == 0
             assert on_left or on_right
 
     def test_region_satisfies_defining_inequality(self):
@@ -425,7 +437,11 @@ class TestFoldBoundaryRegion:
         assert fr.rigid_part.kind() == "identity"
 
     def test_fold_to_diagonal(self):
-        gswing = P(sqrt(2), sqrt(2))
+        # Point refuses (sqrt 2, sqrt 2) on the diagonal; the fold goes to
+        # (6/5, 8/5), as far from the apex as the swing (0, 2), instead.
+        with pytest.raises(ValueError):
+            P(sqrt(2), sqrt(2))
+        gswing = P("6/5", "8/5")
         fr = fold_boundary_region(
             [P(0, 0), P(2, 0), P(0, 2)],
             P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), gswing,
@@ -440,7 +456,7 @@ class TestFoldBoundaryRegion:
     def test_fold_reflected_is_rigid_then_mirror(self):
         from isofold.motions import compose
 
-        gswing = P(sqrt(2), sqrt(2))
+        gswing = P("6/5", "8/5")
         fr = fold_boundary_region(
             [P(0, 0), P(2, 0), P(0, 2)],
             P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), gswing,
@@ -452,7 +468,7 @@ class TestFoldBoundaryRegion:
         ) == fr.reflected_part
 
     def test_assembled_cone_evaluates_swing(self):
-        gswing = P(sqrt(2), sqrt(2))
+        gswing = P("6/5", "8/5")
         fr = fold_boundary_region(
             [P(0, 0), P(2, 0), P(0, 2)],
             P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), gswing,

@@ -6,14 +6,13 @@ import json
 
 import pytest
 
-from isofold import sqrt
 from isofold.extension import Instance, extend_all, fold_boundary_region, cone_pieces
 from isofold.fileio import (
     MapDocument,
     ParseError,
+    _parse_rational,
+    _rational_text,
     instance_hash,
-    number_from_json,
-    number_to_json,
     parse_instance,
     parse_map,
     serialize_instance,
@@ -33,79 +32,89 @@ GOLDEN = Instance(
 )
 
 
-def sqrt2_map():
+def fold_map():
+    """The cone over (2, 0), (0, 2) with (2, 0) fixed and (0, 2) sent to
+    (6/5, 8/5), at distance 2 from the fixed apex: one fold."""
     fr = fold_boundary_region(
         [P(0, 0), P(2, 0), P(0, 2)],
-        P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), P(sqrt(2), sqrt(2)),
+        P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), P("6/5", "8/5"),
     )
     pieces, _ = cone_pieces(fr)
     return assemble(ConvexPolygon([P(0, 0), P(2, 0), P(0, 2)]), pieces)
 
 
+def map_with_number(number) -> str:
+    """The golden map's file with its first vertex's x replaced."""
+    doc = json.loads(serialize_map(extend_all(GOLDEN), instance_hash(GOLDEN)))
+    doc["map"]["vertices"][0][0] = number
+    return json.dumps(doc)
+
+
+# Expression-node encodings of sqrt(2) and (sqrt(2) + 1) / sqrt(3).
+SQRT2_NODES = {"nodes": ["2", {"op": "sqrt", "args": [0]}], "approx": "1.414213562373"}
+NESTED_NODES = {
+    "nodes": [
+        "2", {"op": "sqrt", "args": [0]}, "1", {"op": "add", "args": [1, 2]},
+        "3", {"op": "sqrt", "args": [4]}, {"op": "div", "args": [3, 5]},
+    ],
+    "approx": "1.393867894830",
+}
+
+
 class TestNumberCodec:
     @pytest.mark.parametrize("text", ["0", "7", "-3", "3/4", "-22/7"])
     def test_rational_round_trip(self, text):
-        x = number_from_json(text)
-        assert number_to_json(x) == text
+        x = _parse_rational(text)
+        assert _rational_text(x) == text
 
     def test_normalization(self):
-        assert number_to_json(number_from_json("2/4")) == "1/2"
+        assert _rational_text(_parse_rational("2/4")) == "1/2"
 
     @pytest.mark.parametrize("bad", ["1.5", "1e3", "", "abc", "1/0", "--3", "1/ 2"])
     def test_rejects_non_rationals(self, bad):
         with pytest.raises(ParseError):
-            number_from_json(bad)
+            _parse_rational(bad)
 
     # Fraction reads a final newline and any Unicode digit, but a
     # literal is ASCII digits only.
     @pytest.mark.parametrize("bad", ["1/2\n", "3\n", "\u0661/\u0662", "\u0663"])
     def test_rejects_newline_and_non_ascii_digits(self, bad):
         with pytest.raises(ParseError):
-            number_from_json(bad)
+            _parse_rational(bad)
         with pytest.raises(ParseError):
             parse_instance(json.dumps({"points": [{"a": [bad, "0"], "b": ["0", "0"]}]}))
 
     def test_rejects_raw_numbers(self):
         with pytest.raises(ParseError):
-            number_from_json(5)
+            _parse_rational(5)
 
     def test_sqrt_encoding(self):
-        x = sqrt(2)
-        doc = number_to_json(x)
-        assert doc == {
-            "nodes": ["2", {"op": "sqrt", "args": [0]}],
-            "approx": "1.414213562373",
-        }
-        assert number_from_json(doc) == x
+        # The expression-node form of sqrt(2) is not a number of any file.
+        with pytest.raises(ParseError):
+            _parse_rational(SQRT2_NODES)
+        with pytest.raises(ParseError):
+            parse_map(map_with_number(SQRT2_NODES))
 
     def test_nested_expression(self):
-        x = (sqrt(2) + 1) / sqrt(3)
-        doc = number_to_json(x)
-        back = number_from_json(doc)
-        assert back == x
-        assert number_to_json(back) == doc
-
-    def test_shared_nodes_stay_shared(self):
-        root2 = sqrt(2)
-        x = root2 + root2
-        doc = number_to_json(x)
-        assert doc["nodes"] == [
-            "2",
-            {"op": "sqrt", "args": [0]},
-            {"op": "add", "args": [1, 1]},
-        ]
-        assert number_from_json(doc) == x
+        with pytest.raises(ParseError):
+            _parse_rational(NESTED_NODES)
+        with pytest.raises(ParseError):
+            parse_map(map_with_number(NESTED_NODES))
 
     def test_approx_is_annotation_only(self):
-        doc = number_to_json(sqrt(2))
-        doc["approx"] = "9.000000000000"
-        assert number_from_json(doc) == sqrt(2)
+        # The decimal sidecar never stands in for the value, even when it
+        # reads as a rational literal.
+        for doc in ({**SQRT2_NODES, "approx": "7/5"}, {"approx": "7/5"}):
+            with pytest.raises(ParseError):
+                _parse_rational(doc)
 
     def test_collapsing_node_is_stable(self):
-        # A DAG whose sqrt collapses to a rational parses to that
-        # rational and stays there on re-serialization.
+        # A node list with a rational value is refused like any other.
         doc = {"nodes": ["16/25", {"op": "sqrt", "args": [0]}]}
-        assert number_to_json(number_from_json(doc)) == "4/5"
+        with pytest.raises(ParseError):
+            _parse_rational(doc)
+        with pytest.raises(ParseError):
+            parse_map(map_with_number(doc))
 
     @pytest.mark.parametrize("bad", [
         {"op": "sqrt", "args": [0]},
@@ -125,7 +134,25 @@ class TestNumberCodec:
     ])
     def test_malformed_nodes(self, bad):
         with pytest.raises(ParseError):
-            number_from_json(bad)
+            _parse_rational(bad)
+
+    @pytest.mark.parametrize("nodes", [
+        SQRT2_NODES,
+        {"nodes": ["1/3", "1/3", {"op": "add", "args": [0, 1]}]},
+        {"nodes": ["1/3", {"op": "mul", "args": [0, 0]}]},
+    ])
+    def test_expression_nodes_rejected_in_every_slot(self, nodes):
+        f = extend_all(GOLDEN)
+        for put in (
+            lambda d: d["map"]["domain"][0].__setitem__(1, nodes),
+            lambda d: d["map"]["vertices"][2].__setitem__(1, nodes),
+            lambda d: d["map"]["motions"][0]["r"][1].__setitem__(0, nodes),
+            lambda d: d["map"]["motions"][0]["t"].__setitem__(1, nodes),
+        ):
+            doc = json.loads(serialize_map(f, instance_hash(GOLDEN)))
+            put(doc)
+            with pytest.raises(ParseError, match="not a rational literal"):
+                parse_map(json.dumps(doc))
 
 
 class TestInstanceFiles:
@@ -194,11 +221,21 @@ class TestMapFiles:
         assert serialize_map(doc.map, doc.instance_hash, doc.audits) == text
 
     def test_irrational_round_trip(self):
-        f = sqrt2_map()
+        # A map with an irrational number no longer parses, so none
+        # round-trips; test_fold_round_trip keeps the fold's coverage.
+        doc = json.loads(serialize_map(fold_map(), "0" * 64))
+        doc["map"]["motions"][1]["t"][0] = SQRT2_NODES
+        with pytest.raises(ParseError):
+            parse_map(json.dumps(doc))
+
+    def test_fold_round_trip(self):
+        f = fold_map()
+        assert len(f.motions) == 2
         text = serialize_map(f, "0" * 64)
-        assert '"op": "sqrt"' in text
+        assert '"op"' not in text
         doc = parse_map(text)
         assert doc.map == f
+        assert doc.map.validate().all_passed
         assert serialize_map(doc.map, doc.instance_hash, doc.audits) == text
 
     def test_corrupted_motion_parses_but_fails_audit(self):

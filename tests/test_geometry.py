@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from isofold import sqrt
+from isofold import ExactNumber, sqrt
 from isofold.geometry import (
     EMPTY,
     ConvexPolygon,
@@ -61,9 +61,11 @@ class TestOrientation:
         assert orientation(P(0, 0), P(1, 1), P(2, 2)) == 0
 
     def test_irrational_coordinates(self):
-        # (sqrt2, sqrt2) and (sqrt8, sqrt8) are collinear with the origin.
-        assert orientation(P(0, 0), P(sqrt(2), sqrt(2)), P(sqrt(8), sqrt(8))) == 0
-        assert orientation(P(0, 0), P(sqrt(2), 0), P(sqrt(2), sqrt(3))) == 1
+        # Refused before any predicate sees them.
+        with pytest.raises(ValueError):
+            P(sqrt(2), sqrt(2))
+        assert orientation(P(0, 0), P("6/5", "8/5"), P("12/5", "16/5")) == 0
+        assert orientation(P(0, 0), P("6/5", 0), P("6/5", "8/5")) == 1
 
     @given(coords, coords, coords, coords, coords, coords)
     @settings(max_examples=100, deadline=None)
@@ -76,7 +78,7 @@ class TestOrientation:
 class TestPointsAndDistance:
     def test_point_equality_across_representations(self):
         assert P("1/2", 0) == P(Fraction(1, 2), 0)
-        assert P(sqrt(8) / 2, 0) == P(sqrt(2), 0)
+        assert P(ExactNumber("1/2"), 0) == P(sqrt(Fraction(1, 4)), 0) == P("2/4", 0)
         assert P(0, 1) != P(0, 2)
 
     def test_points_are_unhashable(self):
@@ -85,7 +87,7 @@ class TestPointsAndDistance:
 
     def test_squared_distance(self):
         assert squared_distance(P(0, 0), P(3, 4)) == 25
-        assert squared_distance(P(0, 0), P(sqrt(2), sqrt(2))) == 4
+        assert squared_distance(P(0, 0), P("6/5", "8/5")) == 4
 
 
 class TestLine:
@@ -98,7 +100,7 @@ class TestLine:
         assert ln.side(P(0, 4)) == -1
         assert ln.side(P(0, 0)) == 1
         assert ln.side(P(1, 3)) == 0
-        assert ln.contains(P(0, 2))
+        assert ln.side(P(0, 2)) == 0
 
     def test_equality_up_to_scale(self):
         assert Line(1, -1, -2) == Line(-3, 3, 6)
@@ -107,9 +109,11 @@ class TestLine:
 
     def test_form(self):
         assert Line("1/2", "-1/3", 2).form() == (3, -2, 12)
-        root = Line(sqrt(2), 0, sqrt(2))  # x = 1
-        assert root.form() == (sqrt(2), 0, sqrt(2))
-        assert root.side(P(2, 0)) == 1 and root.contains(P(1, 5))
+        with pytest.raises(ValueError):
+            Line(sqrt(2), 0, sqrt(2))
+        two = Line(sqrt(Fraction(4)), 0, 2)  # x = 1
+        assert two.form() == (2, 0, 2)
+        assert two.side(P(2, 0)) == 1 and two.side(P(1, 5)) == 0
 
 
 def bisector(p: Point, q: Point):
@@ -134,9 +138,9 @@ class TestPerpendicularBisector:
             return
         ln = bisector(p, q)
         mid = P((p.x + q.x) / 2, (p.y + q.y) / 2)
-        assert ln.contains(mid)
+        assert ln.side(mid) == 0
         probe = P(mid.x - (q.y - p.y), mid.y + (q.x - p.x))
-        assert ln.contains(probe)
+        assert ln.side(probe) == 0
         assert squared_distance(probe, p) == squared_distance(probe, q)
 
 
@@ -312,8 +316,8 @@ class TestEdgeForms:
     def test_homogeneous(self):
         assert homogeneous(P("1/6", "-3/4")) == (2, -9, 12)
         assert homogeneous(P(5, 0)) == (5, 0, 1)
-        r = sqrt(2)
-        assert homogeneous(P(r, "1/3")) == (r, Fraction(1, 3), 1)
+        # Canonical: equal points give equal triples.
+        assert homogeneous(P("2/4", "-3/6")) == homogeneous(P("1/2", "-1/2")) == (1, -1, 2)
 
     def test_rational_form_is_integer(self):
         form = edge_form(P("1/3", 0), P(0, "1/5"))
@@ -345,9 +349,14 @@ class TestEdgeForms:
 
     def test_irrational_points(self):
         r2 = sqrt(2)
+        for x, y in ((r2, r2), (r2, 1), ("2/3", r2 - 1)):
+            with pytest.raises(ValueError):
+                P(x, y)
+        # The same shapes at the rational s.
+        s = Fraction(6, 5)
         pts = [
-            P(0, 0), P(2, 0), P("1/3", "7/5"), P(r2, r2), P(2 * r2, 2 * r2),
-            P(r2, 1), P(1 - r2 / 4, r2 / 4), P(r2 * r2, 0), P("2/3", r2 - 1),
+            P(0, 0), P(2, 0), P("1/3", "7/5"), P(s, s), P(2 * s, 2 * s),
+            P(s, 1), P(1 - s / 4, s / 4), P(s * s, 0), P("2/3", s - 1),
         ]
         for p in pts:
             for q in pts:
@@ -365,12 +374,12 @@ class TestEdgeForms:
                          edge_form(P(0, 4), P(0, 0)))
 
     def test_point_in_polygon_matches_orientation_scan(self):
-        r2 = sqrt(2)
+        s = Fraction(7, 5)
         polys = [
             ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)]),
             ConvexPolygon([P("1/3", "-2/7"), P("9/2", "1/5"), P("11/3", "13/4"),
                            P("-1/6", "5/2")]),
-            ConvexPolygon([P(0, 0), P(2, 0), P(r2, r2)]),
+            ConvexPolygon([P(0, 0), P(2, 0), P(s, s)]),
         ]
         tiny = Fraction(1, 10**20)
         for poly in polys:
@@ -378,7 +387,7 @@ class TestEdgeForms:
             n = len(vs)
             cx = sum((v.x for v in vs), Fraction(0)) / n
             cy = sum((v.y for v in vs), Fraction(0)) / n
-            queries = [P(cx, cy), P(r2 / 3, r2 / 5), P(3, r2)]
+            queries = [P(cx, cy), P(s / 3, s / 5), P(3, s)]
             for i in range(n):
                 u, v = vs[i], vs[(i + 1) % n]
                 mid = P((u.x + v.x) / 2, (u.y + v.y) / 2)
@@ -460,11 +469,15 @@ class TestSegmentIntersection:
         assert got == Segment(P(1, 4), P(1, 6))
 
     def test_irrational_crossing(self):
+        # Irrational ends are refused; the crossing of rational ends is
+        # rational.
+        with pytest.raises(ValueError):
+            Segment(P(0, 0), P(sqrt(2), sqrt(2)))
         got = segment_intersection(
-            Segment(P(0, 0), P(sqrt(2), sqrt(2))),
-            Segment(P(0, sqrt(2)), P(sqrt(2), 0)),
+            Segment(P(0, 0), P("6/5", "8/5")),
+            Segment(P(0, "8/5"), P("6/5", 0)),
         )
-        assert got == P(sqrt(2) / 2, sqrt(2) / 2)
+        assert got == P("3/5", "4/5")
 
 
 class TestTriangle:
@@ -523,8 +536,6 @@ def ref_clip_vertices(poly: ConvexPolygon, line: Line, keep: int):
 
 def fresh_homogeneous(p: Point):
     """(X, Y, W) with W the lcm of the denominators, computed anew."""
-    if not p.is_rational:
-        return p.x, p.y, 1
     w = lcm(p.x.denominator, p.y.denominator)
     return int(p.x * w), int(p.y * w), w
 
@@ -532,8 +543,6 @@ def fresh_homogeneous(p: Point):
 wide = st.builds(Fraction, st.integers(-(2**72), 2**72), st.integers(1, 2**64))
 small = st.fractions(min_value=-4, max_value=4, max_denominator=6)
 R2 = sqrt(2)
-# a + b*sqrt(2) with small rational a and b; b == 0 gives a rational.
-root2 = st.builds(lambda a, b: a + b * R2 if b else a, small, small)
 tiny = st.sampled_from([Fraction(0), Fraction(1, 2**64), Fraction(-1, 2**64)])
 
 
@@ -579,10 +588,23 @@ class TestIntegerKernel:
     def test_orientation_and_triangle_area_wide(self, triple):
         self.check_triple(*triple)
 
-    @given(near_collinear(root2))
+    @staticmethod
+    def check_refused(value, b):
+        """value + b*sqrt(2) is refused by Point and Line when b != 0."""
+        if b:
+            with pytest.raises(ValueError):
+                Point(value + b * R2, 0)
+            with pytest.raises(ValueError):
+                Line(1, 0, value + b * R2)
+
+    # The sqrt2 tests draw a + b*sqrt(2): the kernel checks the rational
+    # draws (b = 0), and the others must be refused.
+
+    @given(near_collinear(small), small)
     @settings(max_examples=20, deadline=None)
-    def test_orientation_and_triangle_area_sqrt2(self, triple):
+    def test_orientation_and_triangle_area_sqrt2(self, triple, b):
         self.check_triple(*triple)
+        self.check_refused(triple[0].x, b)
 
     def check_line(self, line, points):
         for p in points:
@@ -598,10 +620,11 @@ class TestIntegerKernel:
     def test_line_side_and_crossing_wide(self, drawn):
         self.check_line(*drawn)
 
-    @given(line_and_points(root2))
+    @given(line_and_points(small), small)
     @settings(max_examples=12, deadline=None)
-    def test_line_side_and_crossing_sqrt2(self, drawn):
+    def test_line_side_and_crossing_sqrt2(self, drawn, b):
         self.check_line(*drawn)
+        self.check_refused(drawn[0].c, b)
 
     def check_polygon(self, points, cuts):
         hull = convex_hull(points)
@@ -632,12 +655,14 @@ class TestIntegerKernel:
         self.check_polygon(points, cuts)
 
     @given(
-        st.lists(point(root2), min_size=3, max_size=5),
-        st.lists(point(root2), max_size=1),
+        st.lists(point(small), min_size=3, max_size=5),
+        st.lists(point(small), max_size=1),
+        small,
     )
     @settings(max_examples=10, deadline=None)
-    def test_polygon_area_and_clip_sqrt2(self, points, cuts):
+    def test_polygon_area_and_clip_sqrt2(self, points, cuts, b):
         self.check_polygon(points, cuts)
+        self.check_refused(points[0].y, b)
 
     @given(st.lists(point(wide), min_size=3, max_size=3), wide)
     @settings(max_examples=60, deadline=None)
@@ -657,7 +682,7 @@ class TestIntegerKernel:
         assert first.v2 == second.v1 == ref_crossing(line, u, v) == inside
         assert (m1, m2) == (rigid, reflected)
 
-    @given(st.one_of(point(wide), point(root2)))
+    @given(st.one_of(point(wide), point(small)))
     @settings(max_examples=80, deadline=None)
     def test_homogeneous_cache(self, p):
         h = homogeneous(p)

@@ -98,23 +98,25 @@ def ref_motion_ids(motions):
     """motion_ids keyed on the integer pairs of the Fraction entries."""
     ids = []
     distinct: list[Motion] = []
-    rational: dict = {}
+    index: dict = {}
     for m in motions:
-        if m.is_rational():
-            key = tuple(
-                map(Fraction.as_integer_ratio, (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty))
-            )
-            got = rational.get(key)
-            if got is None:
-                rational[key] = got = len(distinct)
-                distinct.append(m)
-        else:
-            got = next((i for i, known in enumerate(distinct) if known == m), None)
-            if got is None:
-                got = len(distinct)
-                distinct.append(m)
+        key = tuple(
+            map(Fraction.as_integer_ratio, (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty))
+        )
+        got = index.get(key)
+        if got is None:
+            index[key] = got = len(distinct)
+            distinct.append(m)
         ids.append(got)
     return ids, distinct
+
+
+def inverse(m: Motion) -> Motion:
+    """m^-1, entry by entry: R is orthogonal, so R^-1 is its transpose."""
+    return Motion.unchecked(
+        ((m.r00, m.r10), (m.r01, m.r11)),
+        (-(m.r00 * m.tx + m.r10 * m.ty), -(m.r01 * m.tx + m.r11 * m.ty)),
+    )
 
 
 def entries(m: Motion):
@@ -143,10 +145,11 @@ def suite_steps():
     )
 
 
-def sqrt2_fold():
+def fold():
+    """The cone over (2, 0), (0, 2) with its swing sent to (6/5, 8/5)."""
     return fold_boundary_region(
         [P(0, 0), P(2, 0), P(0, 2)],
-        P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), P(sqrt(2), sqrt(2)),
+        P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), P("6/5", "8/5"),
     )
 
 
@@ -170,7 +173,7 @@ class TestConstruction:
     def test_pythagorean_rotation(self):
         m = Motion((("3/5", "-4/5"), ("4/5", "3/5")), (0, 0))
         assert m.apply(P(5, 0)) == P(3, 4)
-        assert m.is_orientation_preserving()
+        assert m.determinant_sign() == 1
 
 
 class TestTwoPairs:
@@ -194,7 +197,7 @@ class TestTwoPairs:
 
     def test_rational_stays_rational(self):
         m = from_two_pairs(P(1, 2), P(-3, 0), P(4, 6), P(0, 4), 1)
-        assert m.is_rational()
+        assert all(type(v) is Fraction for v in entries(m))
 
     def test_distance_mismatch(self):
         with pytest.raises(DistanceMismatch):
@@ -205,8 +208,11 @@ class TestTwoPairs:
             from_two_pairs(P(1, 1), P(0, 0), P(1, 1), P(2, 2), 1)
 
     def test_irrational_targets(self):
-        m = from_two_pairs(P(0, 0), P(0, 0), P(2, 0), P(sqrt(2), sqrt(2)), 1)
-        assert m.apply(P(2, 0)) == P(sqrt(2), sqrt(2))
+        # (sqrt 2, sqrt 2) is refused; (6/5, 8/5) lies as far from the origin.
+        with pytest.raises(ValueError):
+            P(sqrt(2), sqrt(2))
+        m = from_two_pairs(P(0, 0), P(0, 0), P(2, 0), P("6/5", "8/5"), 1)
+        assert m.apply(P(2, 0)) == P("6/5", "8/5")
         assert m.is_orthogonal()
 
     @given(coords, coords, coords, coords, st.sampled_from([-1, 1]))
@@ -288,13 +294,13 @@ class TestComposeInverse:
 
     def test_inverse(self):
         for m in (self.rot, self.refl, Motion.translation("1/3", -2)):
-            inv = m.inverse()
+            inv = inverse(m)
             probe = P("5/7", "9/2")
             assert inv.apply(m.apply(probe)) == probe
             assert m.apply(inv.apply(probe)) == probe
 
     def test_inverse_composition_is_identity(self):
-        m = compose(self.rot.inverse(), self.rot)
+        m = compose(inverse(self.rot), self.rot)
         assert m.kind() == "identity"
 
 
@@ -367,9 +373,19 @@ class TestAgainstFractionFormulas:
                     from_two_pairs(p1, q1, p1, q2, 1)
 
     def test_sqrt2_fold_motions(self):
-        fr = sqrt2_fold()
+        # The fold onto (sqrt 2, sqrt 2) cannot be posed: no Point holds
+        # its swing image.  test_fold_motions poses it on (6/5, 8/5).
+        with pytest.raises(ValueError):
+            fold_boundary_region(
+                [P(0, 0), P(2, 0), P(0, 2)],
+                P(2, 0), P(0, 2), P(0, 0), P(0, 0), P(2, 0), P(sqrt(2), sqrt(2)),
+            )
+
+    def test_fold_motions(self):
+        fr = fold()
+        assert fr.fold_line is not None
         a, b, pivot, swing = P(0, 0), P(0, 0), P(2, 0), P(0, 2)
-        gswing = P(sqrt(2), sqrt(2))
+        gswing = P("6/5", "8/5")
         for det in (1, -1):
             got = from_two_pairs(a, b, pivot, pivot, det)
             assert same_motion(got, ref_from_two_pairs(a, b, pivot, pivot, det))
@@ -399,7 +415,7 @@ class TestAgainstFractionFormulas:
         glide = compose(Motion.translation(px, h), turn)
         assert same_motion(glide, ref_compose(Motion.translation(px, h), turn))
         probe = P(px, py)
-        for m in (first, turn, glide, glide.inverse()):
+        for m in (first, turn, glide, inverse(glide)):
             assert same_point(m.apply(probe), ref_apply(m, probe))
 
     def test_equal_exactly_when_forms_are_equal(self):
@@ -417,13 +433,15 @@ class TestAgainstFractionFormulas:
 
     def test_equality_across_denominators_and_number_forms(self):
         # Unchecked rows with the same numerators over another d, and a
-        # rational value held as an irrational-form expression.
+        # rational value held as an ExactNumber.  A rational value held
+        # as an irrational-form expression is refused like any other.
         half = Motion.unchecked((("1/2", 0), (0, "1/2")), (0, 0))
         assert half != Motion.unchecked(((1, 0), (0, 1)), (0, 0))
-        third = sqrt(2) * sqrt(2) / 6
-        assert not Motion.translation(third, 0).is_rational()
+        third = ExactNumber(1) / 3
         assert Motion.translation(third, 0) == Motion.translation("1/3", 0)
         assert Motion.translation(third, 0) != Motion.translation("1/2", 0)
+        with pytest.raises(ValueError):
+            Motion.translation(sqrt(2) * sqrt(2) / 6, 0)
 
     def test_rational_form_is_canonical(self):
         for g, _, _ in suite_steps():

@@ -1,4 +1,5 @@
-"""The number form: rationals are Fractions, ExactNumber is irrational."""
+"""The number form: rationals are Fractions, ExactNumber is irrational,
+and points, lines and motions hold Fractions only."""
 
 from __future__ import annotations
 
@@ -40,7 +41,29 @@ class TestNormalForm:
         assert all(type(v) is Fraction for v in (line.a, line.b, line.c))
         m = Motion(((0, ExactNumber(-1)), (1, 0)), ("1/3", 0))
         assert all(type(v) is Fraction for v in (m.r00, m.r01, m.r10, m.r11, m.tx, m.ty))
-        assert type(Point(sqrt(2), 0).x) is ExactNumber
+        with pytest.raises(ValueError):
+            Point(sqrt(2), 0)
+
+    def test_irrational_values_rejected(self):
+        r = sqrt(2)
+        for make in (
+            lambda: Point(r, 0),
+            lambda: Point(0, r),
+            lambda: Line(r, 1, 0),
+            lambda: Line(1, 0, r),
+            lambda: Motion.unchecked(((r, 0), (0, 1)), (0, 0)),
+            lambda: Motion.unchecked(((1, 0), (0, 1)), (0, r)),
+            # Rational in value, irrational in form: refused all the same.
+            lambda: Point((r + 1) * (r - 1), 0),
+        ):
+            with pytest.raises(ValueError, match="rational"):
+                make()
+        three_halves = sqrt(Fraction(9, 4))
+        assert type(three_halves) is ExactNumber
+        assert Point(three_halves, 0) == Point("3/2", 0)
+        assert Line(three_halves, 0, 3) == Line(1, 0, 2)
+        m = Motion.unchecked(((1, 0), (0, 1)), (three_halves, ExactNumber("1/2")))
+        assert (m.tx, m.ty) == (Fraction(3, 2), Fraction(1, 2))
 
     def test_sign_of_int(self):
         assert [sign(v) for v in (-(10**40), -1, 0, 1, 10**40)] == [-1, -1, 0, 1, 1]

@@ -8,7 +8,7 @@ import pytest
 
 from fractions import Fraction
 
-from instancegen import random_instance
+from instancegen import instance_suite, random_instance
 from isofold import extend_all, sqrt
 from isofold.geometry import ConvexPolygon, Line, Point, Triangle, orientation
 from isofold.motions import Motion, reflection_across_line
@@ -293,9 +293,9 @@ class TestEquality:
         assert a == b
 
 
-def irrational_fold_map() -> PLMap:
-    """The folded square with its diagonal split at (sqrt2, sqrt2)."""
-    v = P(sqrt(2), sqrt(2))
+def diagonal_fold_map(t) -> PLMap:
+    """The folded square with its diagonal split at (t, t)."""
+    v = P(t, t)
     dom = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
     mirror = reflection_across_line(Line(1, -1, 0))
     ident = Motion.identity()
@@ -319,29 +319,38 @@ def covering_cells(m: PLMap, p: Point):
 
 
 class TestIrrationalCoordinates:
-    # One is written here as an irrational expression, so query points
-    # built from it stay ExactNumbers and meet the rational cell boxes.
+    """Irrational coordinates never reach a map.
+
+    Point refuses a coordinate built as an irrational expression, even
+    one whose value is rational, such as ``one`` below, and a fold split
+    at (sqrt 2, sqrt 2).  The fold split at (7/5, 7/5) locates and
+    evaluates rational queries.
+    """
+
     one = (sqrt(2) + 1) * (sqrt(2) - 1)
 
     def queries(self):
-        one, r = self.one, sqrt(2)
         return [
-            P(one, one / 2), P(one / 2, one), P(one, one), P(r, r),
-            P(2 - r / 4, r / 4), P("3/2", "1/2"), P(2, 2),
+            P(1, "1/2"), P("1/2", 1), P(1, 1), P("7/5", "7/5"),
+            P("33/20", "7/20"), P("3/2", "1/2"), P(2, 2),
         ]
 
     def test_query_coordinate_stays_irrational(self):
         assert not isinstance(self.one, Fraction)
         assert self.one == 1
+        with pytest.raises(ValueError):
+            P(self.one, self.one / 2)
 
     def test_validate(self):
-        m = irrational_fold_map()
+        with pytest.raises(ValueError):
+            diagonal_fold_map(sqrt(2))
+        m = diagonal_fold_map(Fraction(7, 5))
         assert len(m.vertices) == 5
         rep = m.validate()
         assert rep.all_passed, rep.failures()
 
     def test_locate_and_evaluate_match_scan(self):
-        m = irrational_fold_map()
+        m = diagonal_fold_map(Fraction(7, 5))
         for p in self.queries():
             cells = covering_cells(m, p)
             assert cells, p
@@ -350,20 +359,19 @@ class TestIrrationalCoordinates:
             assert all(m.evaluate(p) == image for image in images)
 
     def test_images(self):
-        m = irrational_fold_map()
-        one = self.one
-        assert m.evaluate(P(one, one / 2)) == P(1, "1/2")
-        assert m.evaluate(P(one / 2, one)) == P(1, "1/2")
+        m = diagonal_fold_map(Fraction(7, 5))
+        assert m.evaluate(P(1, "1/2")) == P(1, "1/2")
+        assert m.evaluate(P("1/2", 1)) == P(1, "1/2")
 
     def test_outside(self):
-        m = irrational_fold_map()
-        for p in (P(3 * self.one, 0), P(sqrt(2) - 2, 1)):
+        m = diagonal_fold_map(Fraction(7, 5))
+        for p in (P(3, 0), P("-3/5", 1)):
             assert covering_cells(m, p) == []
             with pytest.raises(OutsideDomain):
                 m.locate(p)
 
     def test_locate_is_first_covering_cell(self):
-        m = irrational_fold_map()
+        m = diagonal_fold_map(Fraction(7, 5))
         assert locate_matches_scan(m, self.queries() + probe_points(m)) > 0
 
 
@@ -427,18 +435,44 @@ class TestMotionDedup:
         assert len(m.motions) == 1
         assert [row[3] for row in m.triangles] == [0, 0]
 
-    def test_irrational_motions_dedup_by_scan(self):
-        h = sqrt(2) / 2
-        g = 1 / sqrt(2)  # the same value, built as a different expression
-        rot = Motion(((h, -h), (h, h)), (0, 0))
-        same = Motion(((g, -g), (g, g)), (0, 0))
-        assert not rot.is_rational() and rot is not same
-        m = assemble(
-            ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)]),
-            [
-                (Triangle(P(0, 0), P(2, 0), P(2, 2)), rot),
-                (Triangle(P(0, 0), P(2, 2), P(0, 2)), Motion.identity()),
-                (Triangle(P(0, 0), P(2, 2), P(0, 2)), same),
-            ],
-        )
-        assert [row[3] for row in m.triangles] == [0, 1, 0]
+
+def ref_vertex_rows(pieces):
+    """assemble's vertex list and (i, j, k) rows, with vertices keyed on
+    the integer pairs of their Fraction coordinates."""
+    vertices = []
+    index = {}
+    rows = []
+    for piece, _ in pieces:
+        ids = []
+        for p in piece.vertices:
+            key = (p.x.as_integer_ratio(), p.y.as_integer_ratio())
+            if key not in index:
+                index[key] = len(vertices)
+                vertices.append(p)
+            ids.append(index[key])
+        rows += [(ids[0], ids[k], ids[k + 1]) for k in range(1, len(ids) - 1)]
+    return vertices, rows
+
+
+class TestVertexDedup:
+    def test_vertex_ids_match_the_old_key(self, monkeypatch):
+        calls = []
+
+        def recorded(domain, pieces):
+            pieces = list(pieces)
+            calls.append((domain, pieces))
+            return assemble(domain, pieces)
+
+        monkeypatch.setattr("isofold.extension.assemble", recorded)
+        for instance in instance_suite(7, 6, max_points=8):
+            extend_all(instance)
+        assert len(calls) > 20
+        shared = 0
+        for domain, pieces in calls:
+            f = assemble(domain, pieces)
+            vertices, rows = ref_vertex_rows(pieces)
+            assert all(p is q for p, q in zip(f.vertices, vertices))
+            assert len(f.vertices) == len(vertices)
+            assert [row[:3] for row in f.triangles] == rows
+            shared += sum(len(piece.vertices) for piece, _ in pieces) - len(vertices)
+        assert shared > 0

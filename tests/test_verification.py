@@ -31,7 +31,7 @@ from isofold.verification import (
 
 from instancegen import instance_suite, random_instance
 from test_acceptance import CANONICAL
-from test_fileio import sqrt2_map
+from test_fileio import fold_map
 
 
 def P(x, y) -> Point:
@@ -221,10 +221,10 @@ def tiling_hole_map() -> PLMap:
 
 
 def rotation_map(scale=1) -> PLMap:
-    """A rotation by 45 degrees, its diagonal times scale, on a rational triangle."""
-    s = sqrt(2) / 2
+    """The rotation by (4/5, 3/5), its diagonal times scale, on a triangle."""
+    c, s = Fraction(4, 5), Fraction(3, 5)
     dom = ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)])
-    turn = Motion.unchecked(((scale * s, -s), (s, scale * s)), (1, "1/3"))
+    turn = Motion.unchecked(((scale * c, -s), (s, scale * c)), (1, "1/3"))
     return assemble(dom, [(Triangle(P(0, 0), P(4, 0), P(0, 4)), turn)])
 
 
@@ -256,12 +256,19 @@ class TestLipschitzReference:
         assert len(witnesses) == MAX_WITNESSES
         assert any(w.get("error") == "outside domain" for w in witnesses)
 
-    def test_irrational_images(self):
+    def test_fold_and_rotation_images(self):
         cfg = AuditConfig(sample_count=100, rng_seed=5)
-        assert self.same_report(sqrt2_map(), cfg).all_passed
+        assert self.same_report(fold_map(), cfg).all_passed
         assert self.same_report(rotation_map(), cfg).all_passed
         report = self.same_report(rotation_map(Fraction(3, 2)), cfg)
-        assert "." in report.checks[0][2][0]["image_gap_squared"]
+        assert "/" in report.checks[0][2][0]["image_gap_squared"]
+
+    def test_irrational_images(self):
+        # The 45-degree rotation has irrational entries, so no map or
+        # audit can hold it.
+        s = sqrt(2) / 2
+        with pytest.raises(ValueError):
+            Motion.unchecked(((s, -s), (s, s)), (1, "1/3"))
 
 
 def test_audit_stays_in_integers(monkeypatch, golden_map):
