@@ -11,9 +11,9 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import groupby
+from math import isqrt, lcm
 from operator import itemgetter
 
-from .exactreal import equals, quotient, sign
 from .geometry import (
     ConvexPolygon,
     Location,
@@ -77,14 +77,27 @@ class ValidationReport:
 OUTSIDE = -1
 
 
+def _bucket(scale, x, y, w):
+    """Column and row of the point (x/w, y/w) in a ``PLMap._cell_grid``.
+
+    Column floor(n (x/w - x0/W) / (dx/W)), clamped to 0..n-1, and
+    likewise the row: for w > 0 both are integer floor divisions.
+    """
+    n, nw, nx0, ny0, dx, dy = scale
+    col = (nw * x - nx0 * w) // (dx * w)
+    row = (nw * y - ny0 * w) // (dy * w)
+    return min(max(col, 0), n - 1), min(max(row, 0), n - 1)
+
+
 class PLMap:
     """A triangulated convex domain with a motion attached to each cell.
 
     triangles holds (i, j, k, m) index rows into vertices and motions.
-    The cells' edge forms are built on first use and kept.
+    The cells' edge forms and the bucket grid that ``locate`` reads are
+    built on first use and kept.
     """
 
-    __slots__ = ("domain", "vertices", "triangles", "motions", "_forms")
+    __slots__ = ("domain", "vertices", "triangles", "motions", "_forms", "_grid")
 
     def __init__(self, domain: ConvexPolygon, vertices, triangles, motions):
         self.domain = domain
@@ -104,6 +117,7 @@ class PLMap:
             if not 0 <= m < nm:
                 raise IndexOutOfRange(f"motion index out of range in {row}")
         self._forms = None
+        self._grid = None
 
     def __len__(self):
         return len(self.triangles)
@@ -128,6 +142,59 @@ class PLMap:
             ]
         return self._forms
 
+    def _cell_grid(self):
+        """About isqrt(T) x isqrt(T) buckets over the domain's bounding box.
+
+        Returns (scale, buckets): scale is the (n, n W, n x0, n y0, dx,
+        dy) of ``_bucket``, with the box's corner (x0, y0) and sides dx,
+        dy as numerators over the domain vertices' common W.  buckets[r *
+        n + c] lists, in index order, every cell whose vertices' buckets
+        span column c and row r.  Floor and clamping are monotone, so a
+        cell covering a point lies in that point's bucket, even a
+        clockwise cell or one with vertices outside the domain.  A cell
+        with collinear vertices covers a whole line, or the plane when
+        they coincide, so it goes into every bucket.
+        """
+        if self._grid is None:
+            coords = [homogeneous(v) for v in self.domain.vertices]
+            w0 = lcm(*(w for _, _, w in coords))
+            xs = [x * (w0 // w) for x, _, w in coords]
+            ys = [y * (w0 // w) for _, y, w in coords]
+            x0, y0 = min(xs), min(ys)
+            n = max(1, isqrt(len(self.triangles)))
+            scale = (n, n * w0, n * x0, n * y0, max(xs) - x0, max(ys) - y0)
+            hs = [homogeneous(v) for v in self.vertices]
+            at = [_bucket(scale, *h) for h in hs]
+            buckets = [[] for _ in range(n * n)]
+            for t, ((i, j, k, _), ((a, b, c), _, _)) in enumerate(
+                zip(self.triangles, self._cell_forms())
+            ):
+                x, y, w = hs[k]
+                if a * x + b * y == c * w:
+                    col0, col1, row0, row1 = 0, n - 1, 0, n - 1
+                else:
+                    # The least and greatest of three columns and rows,
+                    # without min and max calls: the grid is rebuilt for
+                    # every step's new map.
+                    (col0, row0), (col1, row1), (ck, rk) = at[i], at[j], at[k]
+                    if col0 > col1:
+                        col0, col1 = col1, col0
+                    if ck < col0:
+                        col0 = ck
+                    elif ck > col1:
+                        col1 = ck
+                    if row0 > row1:
+                        row0, row1 = row1, row0
+                    if rk < row0:
+                        row0 = rk
+                    elif rk > row1:
+                        row1 = rk
+                for start in range(row0 * n + col0, row1 * n + col0 + 1, n):
+                    for bucket in buckets[start:start + col1 - col0 + 1]:
+                        bucket.append(t)
+            self._grid = scale, buckets
+        return self._grid
+
     def locate(self, p: Point) -> int:
         """Index of the first triangle containing p (boundary inclusive)."""
         return self.locate_homogeneous(*homogeneous(p))
@@ -136,13 +203,19 @@ class PLMap:
         """``locate`` for the point (x/w, y/w), given with w > 0.
 
         Ints, as ``geometry.homogeneous`` gives them, skip building a
-        Point and reducing its coordinates.
+        Point and reducing its coordinates.  Only the cells in the
+        point's bucket of ``_cell_grid`` are tested, in index order, so
+        the answer is the first covering cell of the whole list.
         """
-        for t, (e0, e1, e2) in enumerate(self._cell_forms()):
+        scale, buckets = self._cell_grid()
+        col, row = _bucket(scale, x, y, w)
+        forms = self._forms
+        for t in buckets[row * scale[0] + col]:
+            (a0, b0, c0), (a1, b1, c1), (a2, b2, c2) = forms[t]
             if (
-                sign(e0[0] * x + e0[1] * y - e0[2] * w) >= 0
-                and sign(e1[0] * x + e1[1] * y - e1[2] * w) >= 0
-                and sign(e2[0] * x + e2[1] * y - e2[2] * w) >= 0
+                a0 * x + b0 * y >= c0 * w
+                and a1 * x + b1 * y >= c1 * w
+                and a2 * x + b2 * y >= c2 * w
             ):
                 return t
         raise OutsideDomain("point is not covered by any triangle")
@@ -181,7 +254,7 @@ class PLMap:
         ):
             x, y, w = homogeneous(vs[k])
             det = a * x + b * y - c * w
-            if sign(det) != 1:
+            if det <= 0:
                 failed = f"triangle {t} is not positively oriented"
                 return ("triangle-orientation", False, failed), None
             dets.append(det)
@@ -200,14 +273,14 @@ class PLMap:
             return ("area-sum", False, "no triangles")
         vs = self.vertices
         total = sum(
-            quotient(det, homogeneous(vs[i])[2] * homogeneous(vs[j])[2] * homogeneous(vs[k])[2])
+            Fraction(det, homogeneous(vs[i])[2] * homogeneous(vs[j])[2] * homogeneous(vs[k])[2])
             for det, (i, j, k, _) in zip(dets, self.triangles)
         )
         used = sorted({i for row in self.triangles for i in row[:3]})
         for i in used:
             if point_in_polygon(self.vertices[i], self.domain) is Location.OUTSIDE:
                 return ("area-sum", False, f"vertex {i} lies outside the domain")
-        if equals(total, self.domain.area2()):
+        if total == self.domain.area2():
             return ("area-sum", True, "cells lie in the domain and tile its area exactly")
         return ("area-sum", False, "triangle areas do not sum to the domain area")
 
@@ -233,10 +306,10 @@ class PLMap:
         walk += ((v, u, edge_form(v, u), OUTSIDE) for u, v in zip(dom, dom[1:] + dom[:1]))
         edges = []
         for u, v, (a, b, c), face in walk:
-            if sign(a) != 0:
-                key, side, pu, pv = (1, Fraction(b, a), Fraction(c, a)), sign(a), u.y, v.y
+            if a != 0:
+                key, side, pu, pv = (1, Fraction(b, a), Fraction(c, a)), 1 if a > 0 else -1, u.y, v.y
             else:
-                key, side, pu, pv = (0, 1, Fraction(c, b)), sign(b), u.x, v.x
+                key, side, pu, pv = (0, 1, Fraction(c, b)), 1 if b > 0 else -1, u.x, v.x
             edges.append((key, side, ((pu, u), (pv, v)), face))
         edges.sort(key=itemgetter(0))
         pieces = []

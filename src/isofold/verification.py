@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import json
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .exactreal import scientific_string, sign
+from .exactreal import scientific_string
 from .extension import Instance, Violation
 from .geometry import Point, homogeneous, squared_distance
 from .plmap import OutsideDomain, PLMap
@@ -30,6 +31,9 @@ __all__ = [
 
 DENOMINATOR_BITS = 16
 SCALE = 1 << DENOMINATOR_BITS
+# u and v are drawn as randint(0, SCALE) draws them: DRAW_BITS random
+# bits, drawn again while above SCALE.
+DRAW_BITS = SCALE.bit_length()
 # A fan triangle is chosen by comparing a random fraction on this grid
 # against the domain's cumulative area.
 CHOICE_BITS = 32
@@ -125,12 +129,13 @@ def audit_interpolation(f: PLMap, inst: Instance) -> AuditReport:
 def _fan(domain):
     """The domain's fan from its first vertex, over one denominator.
 
-    Returns (w, pieces).  The vertices are scaled to a common
-    denominator w0, the lcm of their homogeneous ones, so their
+    Returns (w, thresholds, pieces).  The vertices are scaled to a
+    common denominator w0, the lcm of their homogeneous ones, so their
     numerators are ints; w = w0 * 2^DENOMINATOR_BITS is the denominator
     of every sample.  Each fan triangle a, b, c is a piece (cumulative
     area2, a * 2^DENOMINATOR_BITS, b - a, c - a) in those numerators, so
-    the areas carry a factor w0^2.
+    the areas carry a factor w0^2.  Its threshold is its cumulative
+    area2 times CHOICES.
     """
     coords = [homogeneous(v) for v in domain.vertices]
     w0 = lcm(*(w for _, _, w in coords))
@@ -141,24 +146,29 @@ def _fan(domain):
         bx, by, cx, cy = bx - ax, by - ay, cx - ax, cy - ay
         total = total + (bx * cy - by * cx)
         pieces.append((total, (ax * SCALE, ay * SCALE), (bx, by), (cx, cy)))
-    return w0 * SCALE, pieces
+    return w0 * SCALE, [piece[0] * CHOICES for piece in pieces], pieces
 
 
 def _sample(rng: random.Random, fan):
     """A point of the domain, drawn from its fan without rejection.
 
-    A fan triangle is picked with probability proportional to its area,
-    then the point a + u(b - a) + v(c - a) with u and v on the 2^-16
-    grid, folded to (1 - u, 1 - v) when u + v > 1.  Returns its
-    numerators (X, Y) over the fan's w.
+    A fan triangle is picked with probability proportional to its area:
+    the first whose threshold exceeds a random 32-bit int times the
+    total area.  Then the point a + u(b - a) + v(c - a) with u and v on
+    the 2^-16 grid, folded to (1 - u, 1 - v) when u + v > 1.  u and v
+    take the random bits that ``randint(0, SCALE)`` would.  Returns the
+    point's numerators (X, Y) over the fan's w.
     """
-    pieces = fan[1]
-    r = rng.getrandbits(CHOICE_BITS) * pieces[-1][0]
-    _, (ax, ay), (bx, by), (cx, cy) = next(
-        piece for piece in pieces if r < piece[0] * CHOICES
-    )
-    u = rng.randint(0, SCALE)
-    v = rng.randint(0, SCALE)
+    _, thresholds, pieces = fan
+    bits = rng.getrandbits
+    r = bits(CHOICE_BITS) * pieces[-1][0]
+    _, (ax, ay), (bx, by), (cx, cy) = pieces[bisect_right(thresholds, r)]
+    u = bits(DRAW_BITS)
+    while u > SCALE:
+        u = bits(DRAW_BITS)
+    v = bits(DRAW_BITS)
+    while v > SCALE:
+        v = bits(DRAW_BITS)
     if u + v > SCALE:
         u, v = SCALE - u, SCALE - v
     return ax + u * bx + v * cx, ay + u * by + v * cy
@@ -211,7 +221,7 @@ def audit_lipschitz(f: PLMap, cfg: AuditConfig = AuditConfig()) -> AuditReport:
         else:
             ex, ey = px * dq - qx * dp, py * dq - qy * dp
             gx, gy = xp - xq, yp - yq
-            if sign(ex * ex + ey * ey - (dp * dq) ** 2 * (gx * gx + gy * gy)) <= 0:
+            if ex * ex + ey * ey <= (dp * dq) ** 2 * (gx * gx + gy * gy):
                 continue
             outside = False
         for _ in range(2 * (k - replayed)):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -308,10 +309,14 @@ def diagonal_fold_map(t) -> PLMap:
 
 
 def covering_cells(m: PLMap, p: Point):
-    """Every cell containing p, by a scan with no bounding-box filter."""
+    """Every cell containing p, by a scan with no bounding-box filter.
+
+    Cells are read from their rows, not built as Triangles, so that
+    degenerate cells of broken maps are scanned too.
+    """
     out = []
-    for t in range(len(m)):
-        a, b, c = m.cell(t).vertices
+    for t, (i, j, k, _) in enumerate(m.triangles):
+        a, b, c = m.vertices[i], m.vertices[j], m.vertices[k]
         if orientation(a, b, p) >= 0 and orientation(b, c, p) >= 0 \
                 and orientation(c, a, p) >= 0:
             out.append(t)
@@ -379,8 +384,8 @@ def probe_points(m: PLMap):
     """Cell vertices, edge midpoints, centroids, and points just outside
     the domain across the middle of each domain edge."""
     pts = list(m.vertices)
-    for t in range(len(m)):
-        a, b, c = m.cell(t).vertices
+    for i, j, k, _ in m.triangles:
+        a, b, c = m.vertices[i], m.vertices[j], m.vertices[k]
         pts += [P((u.x + v.x) / 2, (u.y + v.y) / 2) for u, v in ((a, b), (b, c), (c, a))]
         pts.append(P((a.x + b.x + c.x) / 3, (a.y + b.y + c.y) / 3))
     tiny = Fraction(1, 10**12)
@@ -406,15 +411,128 @@ def locate_matches_scan(m: PLMap, points) -> int:
     return outside
 
 
+def four_triangle_fold() -> PLMap:
+    """A square cut into four triangles about its centre, the bottom one
+    reflected in y = 0: a broken map whose cells still tile the square."""
+    dom = ConvexPolygon([P(0, 0), P(4, 0), P(4, 4), P(0, 4)])
+    centre, ident = P(2, 2), Motion.identity()
+    mirror = reflection_across_line(Line(0, 1, 0))
+    corners = dom.vertices
+    return assemble(dom, [
+        (Triangle(corners[i], corners[(i + 1) % 4], centre), mirror if i == 0 else ident)
+        for i in range(4)
+    ])
+
+
+def broken_maps():
+    """Maps that fail validate, each a different way for a scan to find
+    its first covering cell.  Most add cells to an eight-cell tiling of
+    a square, so that the grid has 3 x 3 buckets."""
+    from test_verification import tiling_hole_map
+
+    dom = ConvexPolygon([P(0, 0), P(8, 0), P(8, 8), P(0, 8)])
+    lattice = [P(4 * c, 4 * r) for r in range(3) for c in range(3)]
+    tiling = []
+    for i in (0, 1, 3, 4):
+        tiling += [(i, i + 1, i + 4), (i, i + 4, i + 3)]
+
+    def cells(extra, rows):
+        vertices = lattice + extra
+        return PLMap(dom, vertices, [row + (0,) for row in rows], [Motion.identity()])
+
+    return [
+        tiling_hole_map(),
+        four_triangle_fold(),
+        # a clockwise cell ahead of the tiling
+        cells([], [(0, 4, 1)] + tiling),
+        # a duplicated cell, which overlaps its copy everywhere
+        cells([], tiling + [tiling[3]]),
+        # a vertex far outside the domain's box
+        cells([P(40, -9)], tiling + [(0, 9, 4)]),
+        # collinear vertices: the cell covers the whole line y = x
+        cells([P(2, 2)], [(0, 9, 4)] + tiling),
+        # coincident vertices: the cell covers the whole plane
+        cells([], tiling[:3] + [(4, 4, 4)] + tiling[3:]),
+    ]
+
+
+def grid_probe_points(m: PLMap, rng: random.Random, samples: int):
+    """probe_points plus audit samples, and 48 points beyond the domain's
+    box, near and far, on all four sides and past all four corners,
+    which the grid clamps to its edge buckets."""
+    from isofold.verification import _fan, _sample_point
+
+    fan = _fan(m.domain)
+    pts = probe_points(m) + [_sample_point(rng, fan) for _ in range(samples)]
+
+    def across(values, far):
+        lo, hi = min(values), max(values)
+        return [lo - far * (hi - lo), lo, (lo + hi) / 2, hi, hi + far * (hi - lo)]
+
+    for far in (Fraction(1, 10**9), Fraction(1, 3), Fraction(10)):
+        xs = across([v.x for v in m.domain.vertices], far)
+        ys = across([v.y for v in m.domain.vertices], far)
+        pts += [P(x, y) for i, x in enumerate(xs) for j, y in enumerate(ys) if {i, j} & {0, 4}]
+    return pts
+
+
 class TestLocateMatchesOrientationScan:
+    """locate reads a bucket grid; a plain scan of every cell must give
+    the same first covering cell, or find none where locate raises."""
+
     def maps(self):
+        from test_acceptance import CANONICAL
+
         rng = random.Random(23)
         built = [extend_all(random_instance(rng, 7)) for _ in range(4)]
+        built += [extend_all(i) for i in CANONICAL + instance_suite(11, 6, max_points=8)]
         return [square_map(), folded_map()] + built
 
     def test_first_covering_cell(self):
+        rng = random.Random(29)
         for m in self.maps():
-            assert locate_matches_scan(m, probe_points(m)) == len(m.domain)
+            outside = locate_matches_scan(m, grid_probe_points(m, rng, 60))
+            assert outside == len(m.domain) + 48
+
+    def test_broken_maps(self):
+        rng = random.Random(31)
+        for m in broken_maps():
+            assert not m.validate().all_passed
+            locate_matches_scan(m, grid_probe_points(m, rng, 60))
+
+    def test_broken_maps_reach_past_first_cells(self):
+        maps = broken_maps()
+        assert all(len(m) == 9 for m in maps[2:])
+        # the bottom cell of the fold, and the cells that the clockwise
+        # and duplicated ones do not hide
+        assert maps[1].locate(P(2, 1)) == 0
+        assert maps[2].locate(P(3, 1)) == 1
+        assert maps[3].locate(P(5, 7)) == 7
+        # the far vertex's cell covers points beyond the box's corner
+        assert maps[4].locate(P(20, -4)) == 8
+        # the collinear cell covers its line beyond its vertices' buckets
+        # and beyond the box; the coincident cell every point that the
+        # three cells before it miss
+        assert [maps[5].locate(P(t, t)) for t in (-3, 0, 7, 8, 30)] == [0] * 5
+        assert maps[6].locate(P(7, 7)) == 3
+        assert maps[6].locate(P(-50, 80)) == 3
+
+    def test_grid_built_lazily_once(self):
+        f = extend_all(random_instance(random.Random(5), 10))
+        m = PLMap(f.domain, f.vertices, f.triangles, f.motions)
+        assert m._grid is None
+        assert m.validate().all_passed
+        assert m._grid is None
+        m.locate(m.vertices[0])
+        grid = m._grid
+        assert grid is not None
+        for v in m.vertices:
+            m.locate(v)
+        m.validate()
+        assert m._grid is grid
+        scale, buckets = grid
+        assert scale[0] ** 2 == len(buckets)
+        assert scale[0] == max(1, math.isqrt(len(m)))
 
     def test_forms_built_once(self):
         m = folded_map()

@@ -21,8 +21,10 @@ from isofold.verification import (
     MAX_WITNESSES,
     AuditConfig,
     AuditReport,
+    _fan,
     _fmt,
     _fmt_point,
+    _sample,
     audit_interpolation,
     audit_lipschitz,
     audit_structure,
@@ -269,6 +271,73 @@ class TestLipschitzReference:
         s = sqrt(2) / 2
         with pytest.raises(ValueError):
             Motion.unchecked(((s, -s), (s, s)), (1, "1/3"))
+
+
+def reference_sample(rng: random.Random, fan):
+    """_sample as a scan of the fan pieces and two randint draws."""
+    _, _, pieces = fan
+    r = rng.getrandbits(CHOICE_BITS) * pieces[-1][0]
+    _, (ax, ay), (bx, by), (cx, cy) = next(
+        piece for piece in pieces if r < piece[0] << CHOICE_BITS
+    )
+    scale = 1 << DENOMINATOR_BITS
+    u = rng.randint(0, scale)
+    v = rng.randint(0, scale)
+    if u + v > scale:
+        u, v = scale - u, scale - v
+    return ax + u * bx + v * cx, ay + u * by + v * cy
+
+
+@pytest.mark.parametrize("seed", [0, 17])
+def test_sample_stream_matches_randint(seed):
+    """The inline draws take the random bits randint(0, SCALE) takes.
+
+    After as many draws, the generator is in the same state as one that
+    makes one getrandbits(32) and two randint calls per draw.
+    """
+    domains = [
+        ConvexPolygon([P(0, 0), P(4, 0), P(0, 4)]),
+        ConvexPolygon([P(0, 0), P(5, 1), P("11/2", 4), P(2, "13/3"), P(-1, 2)]),
+    ]
+    for domain in domains:
+        fan = _fan(domain)
+        rng, ref = random.Random(seed), random.Random(seed)
+        draws = [_sample(rng, fan) for _ in range(2000)]
+        assert draws == [reference_sample(ref, fan) for _ in range(2000)]
+        assert rng.getstate() == ref.getstate()
+        assert len(set(draws)) > 1900
+
+
+class ScriptedRandom(random.Random):
+    """A Random whose getrandbits returns the given values in turn."""
+
+    def __init__(self, values):
+        super().__init__(0)
+        self.values = list(values)
+
+    def getrandbits(self, k):
+        value = self.values.pop(0)
+        assert 0 <= value < 1 << k
+        return value
+
+
+def test_sample_boundary_draws_match_randint():
+    """Draws a seeded stream almost never gives: u or v exactly 2^16,
+    draws above it that are taken again, and a choice that lands exactly
+    on the threshold between the square's two equal fan triangles."""
+    scale = 1 << DENOMINATOR_BITS
+    half, top = 1 << (CHOICE_BITS - 1), (1 << CHOICE_BITS) - 1
+    script = [
+        half, scale + 1, (scale << 1) - 1, scale, 0,
+        half - 1, scale, scale + 1, 1,
+        top, scale - 1, scale,
+        0, 0, scale,
+    ]
+    fan = _fan(ConvexPolygon([P(0, 0), P(4, 0), P(4, 4), P(0, 4)]))
+    rng, ref = ScriptedRandom(script), ScriptedRandom(script)
+    draws = [_sample(rng, fan) for _ in range(4)]
+    assert draws == [reference_sample(ref, fan) for _ in range(4)]
+    assert rng.values == ref.values == []
 
 
 def test_audit_stays_in_integers(monkeypatch, golden_map):
