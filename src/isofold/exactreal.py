@@ -24,6 +24,7 @@ __all__ = [
     "EQ",
     "GT",
     "number",
+    "to_fraction",
     "rational",
     "add",
     "sub",
@@ -34,7 +35,6 @@ __all__ = [
     "compare",
     "equals",
     "common_denominator",
-    "quotient",
     "approximate",
     "decimal_string",
     "scientific_string",
@@ -222,6 +222,21 @@ def number(value):
     if isinstance(value, float):
         raise TypeError("floats are inexact; pass an int, Fraction or 'p/q' string")
     raise TypeError(f"cannot make an exact number from {type(value).__name__}")
+
+
+def to_fraction(value, what: str) -> Fraction:
+    """value as a Fraction: the gate into points, lines and motions.
+
+    A Fraction passes at once.  Anything else goes through ``number``,
+    so floats and bools raise TypeError, a rational ExactNumber becomes
+    its Fraction, and an irrational value raises ValueError naming what.
+    """
+    if type(value) is Fraction:
+        return value
+    value = number(value)
+    if type(value) is not Fraction:
+        raise ValueError(f"{what} must be rational")
+    return value
 
 
 def _coerce(value) -> ExactNumber:
@@ -662,29 +677,12 @@ def equals(x, y) -> bool:
 
 
 def common_denominator(values):
-    """(entries, d) with values[i] == entries[i] / d and d > 0.
+    """(entries, d) with values[i] == entries[i] / d, for Fractions.
 
-    When every value is rational the entries are ints and d is the lcm
-    of the denominators; otherwise they are the values' normal forms
-    over d = 1, so that one integer expression serves both.
+    The entries are ints and d > 0 is the lcm of the denominators.
     """
-    values = [number(v) for v in values]
-    if all(type(v) is Fraction for v in values):
-        d = lcm(*(v.denominator for v in values))
-        return [v.numerator * (d // v.denominator) for v in values], d
-    return values, 1
-
-
-def quotient(n, d):
-    """n / d in the normal form of ``number``; d must not be zero.
-
-    Two ints, as the integer forms over ``common_denominator`` and
-    ``geometry.homogeneous`` give them, make one Fraction; an exact
-    numerator or denominator makes the exact quotient.
-    """
-    if type(n) is int and type(d) is int:
-        return Fraction(n, d)
-    return number(div(n, d))
+    d = lcm(*(v.denominator for v in values))
+    return [v.numerator * (d // v.denominator) for v in values], d
 
 
 def approximate(x, error_bound) -> Fraction:

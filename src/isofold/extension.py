@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import NamedTuple
 
-from .exactreal import compare, equals, sign
 from .geometry import (
     ConvexPolygon,
     DegenerateHull,
@@ -179,7 +178,7 @@ def check_nonexpansive(inst: Instance) -> Violation | None:
         for j in range(i + 1, n):
             d_src = squared_distance(inst.sources[i], inst.sources[j])
             d_tgt = squared_distance(inst.targets[i], inst.targets[j])
-            if compare(d_tgt, d_src) == 1:
+            if d_tgt > d_src:
                 return Violation(i, j)
     return None
 
@@ -210,7 +209,7 @@ def cut_line(g: Motion, a: Point, b: Point) -> Line | None:
     dx, dy = tx * bw - bx * e, ty * bw - by * e
     u = (r00 * dx + r10 * dy) * aw + ax * e * dw
     v = (r01 * dx + r11 * dy) * aw + ay * e * dw
-    if sign(u) == 0 and sign(v) == 0:
+    if u == v == 0:
         return None
     k = 2 * aw * bw
     return Line(
@@ -309,7 +308,7 @@ def _hull_edge_of(hull: ConvexPolygon, x: Point, y: Point):
     xx, xy, xw = homogeneous(x)
     yx, yy, yw = homogeneous(y)
     for k, (a, b, c) in enumerate(hull.edge_forms()):
-        if sign(a * xx + b * xy - c * xw) == 0 and sign(a * yx + b * yy - c * yw) == 0:
+        if a * xx + b * xy == c * xw and a * yx + b * yy == c * yw:
             return k
     return None
 
@@ -374,11 +373,11 @@ def fold_boundary_region(
     cone = tuple(cone)
     if cone[0] != a_n:
         raise ValueError("cone walk must start at the apex a_n")
-    if not equals(squared_distance(pivot, a_n), squared_distance(g_pivot, b_n)):
+    if squared_distance(pivot, a_n) != squared_distance(g_pivot, b_n):
         raise ValueError("pivot is not equidistant: not a region boundary point")
-    if not equals(squared_distance(swing, a_n), squared_distance(g_swing, b_n)):
+    if squared_distance(swing, a_n) != squared_distance(g_swing, b_n):
         raise ValueError("swing is not equidistant: not a region boundary point")
-    if compare(squared_distance(g_pivot, g_swing), squared_distance(pivot, swing)) == 1:
+    if squared_distance(g_pivot, g_swing) > squared_distance(pivot, swing):
         raise ChordTooLong("contact images are farther apart than their sources")
 
     plus = from_two_pairs(a_n, b_n, pivot, g_pivot, 1)
@@ -485,7 +484,7 @@ def _contact_chains(hull: ConvexPolygon, contacts):
         dx, dy = h2.x - h1.x, h2.y - h1.y
         tp = (seg.p.x - h1.x) * dx + (seg.p.y - h1.y) * dy
         tq = (seg.q.x - h1.x) * dx + (seg.q.y - h1.y) * dy
-        _require(compare(tp, tq) == -1, "contact edge runs against hull orientation")
+        _require(tp < tq, "contact edge runs against hull orientation")
         keyed.append((k, tp, contact))
 
     keyed.sort(key=itemgetter(0, 1))
@@ -535,7 +534,7 @@ def _merge_touched(pieces, cut_motions, first_new, trace):
         if len(parts) == 1 and len(parts[0].vertices) == 3:
             continue
         hull = convex_hull([v for part in parts for v in part.vertices])
-        if not equals(hull.area2(), sum(part.area2() for part in parts)):
+        if hull.area2() != sum(part.area2() for part in parts):
             trace.kept_groups += 1
             continue
         trace.merged_groups += 1
@@ -587,7 +586,7 @@ def extend_step_traced(g: PLMap, a_n: Point, b_n: Point):
     cut_motions = [g.restrict_motion(t) for t, _ in region.pieces]
     pieces = _merge_touched(pieces, cut_motions, first_new, trace)
     total = sum(part.area2() for part, _ in pieces)
-    _require(equals(total, g.domain.area2()), "step output does not tile the domain")
+    _require(total == g.domain.area2(), "step output does not tile the domain")
     return assemble(g.domain, pieces), trace
 
 

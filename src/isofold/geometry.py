@@ -1,17 +1,17 @@
 """Exact planar geometry: points, lines, convex polygons, predicates.
 
 Coordinates are Fractions: ``Point`` and ``Line`` pass each value
-through ``exactreal.number`` and reject an irrational one with
-ValueError.  Every predicate is the exact sign of one integer
-expression over the points' cached ``homogeneous`` coordinates
-(X, Y, W): orientation is the 3x3 determinant of three homogeneous
-rows, expanded as an ``edge_form``; a line's side is its integer form,
-built once per line, at (X, Y, W); areas are that determinant or the
-shoelace sum over the vertices' common W, turned into a number once; a
-clip crossing is built from the line's two homogeneous values at the
-edge's ends.  Degenerate results (empty or lower-dimensional clips,
-flat hulls) are first-class values, not errors, so callers can branch
-on them without try/except.
+through ``exactreal.to_fraction``, which refuses an irrational one with
+ValueError.  Every predicate is the sign of one int expression over
+the points' cached ``homogeneous`` coordinates (X, Y, W), found by
+comparing it with 0: orientation is the 3x3 determinant of three
+homogeneous rows, expanded as an ``edge_form``; a line's side is its
+integer form, built once per line, at (X, Y, W); areas are that
+determinant or the shoelace sum over the vertices' common W, made one
+Fraction; a clip crossing is built from the line's two homogeneous
+values at the edge's ends.  Degenerate results (empty or
+lower-dimensional clips, flat hulls) are first-class values, not
+errors, so callers can branch on them without try/except.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 
-from .exactreal import common_denominator, compare, number, quotient, sign
+from .exactreal import common_denominator, to_fraction
 
 __all__ = [
     "Point",
@@ -55,18 +55,15 @@ class Point:
     __slots__ = ("x", "y", "_h")
 
     def __init__(self, x, y):
-        x = number(x)
-        y = number(y)
-        if not (type(x) is type(y) is Fraction):
-            raise ValueError("point coordinates must be rational")
-        self.x = x
-        self.y = y
+        self.x = to_fraction(x, "point coordinates")
+        self.y = to_fraction(y, "point coordinates")
         self._h = None
 
     def __eq__(self, other):
+        # The canonical triples, as ``plmap.assemble`` keys vertices.
         if not isinstance(other, Point):
             return NotImplemented
-        return self.x == other.x and self.y == other.y
+        return homogeneous(self) == homogeneous(other)
 
     __hash__ = None
 
@@ -76,7 +73,8 @@ class Point:
 
 def orientation(p: Point, q: Point, r: Point) -> int:
     """Sign of the turn p->q->r: +1 counterclockwise, -1 clockwise, 0 flat."""
-    return sign(_det(p, q, r))
+    v = _det(p, q, r)
+    return (v > 0) - (v < 0)
 
 
 def _det(p: Point, q: Point, r: Point):
@@ -124,7 +122,7 @@ def squared_distance(p: Point, q: Point):
     dx = qx * pw - px * qw
     dy = qy * pw - py * qw
     w = pw * qw
-    return quotient(dx * dx + dy * dy, w * w)
+    return Fraction(dx * dx + dy * dy, w * w)
 
 
 class Segment:
@@ -157,16 +155,11 @@ class Line:
     __slots__ = ("a", "b", "c", "_form")
 
     def __init__(self, a, b, c):
-        a = number(a)
-        b = number(b)
-        c = number(c)
-        if not (type(a) is type(b) is type(c) is Fraction):
-            raise ValueError("line coefficients must be rational")
-        if sign(a) == 0 and sign(b) == 0:
+        self.a = to_fraction(a, "line coefficients")
+        self.b = to_fraction(b, "line coefficients")
+        self.c = to_fraction(c, "line coefficients")
+        if self.a == 0 and self.b == 0:
             raise ValueError("line coefficients (a, b) must not both be zero")
-        self.a = a
-        self.b = b
-        self.c = c
         self._form = None
 
     def form(self):
@@ -186,7 +179,8 @@ class Line:
 
     def side(self, p: Point) -> int:
         """Sign of a*x + b*y - c at p; 0 means p lies on the line."""
-        return sign(self.homogeneous_value(p))
+        v = self.homogeneous_value(p)
+        return (v > 0) - (v < 0)
 
     def __eq__(self, other):
         # Same locus, up to scaling of the coefficients.
@@ -223,7 +217,7 @@ class Triangle:
     def area2(self):
         """Twice the signed area (positive for counterclockwise order)."""
         w = homogeneous(self.v0)[2] * homogeneous(self.v1)[2] * homogeneous(self.v2)[2]
-        return quotient(_det(self.v0, self.v1, self.v2), w)
+        return Fraction(_det(self.v0, self.v1, self.v2), w)
 
     def __eq__(self, other):
         if not isinstance(other, Triangle):
@@ -265,11 +259,6 @@ class ConvexPolygon:
     def __getitem__(self, i):
         return self.vertices[i]
 
-    def edges(self):
-        vs = self.vertices
-        n = len(vs)
-        return [Segment(vs[i], vs[(i + 1) % n]) for i in range(n)]
-
     def edge_forms(self):
         """The edge_form of each edge, counterclockwise; interior is +1."""
         if self._forms is None:
@@ -286,7 +275,7 @@ class ConvexPolygon:
         total = sum(
             x0 * y1 - y0 * x1 for (x0, y0), (x1, y1) in zip(scaled, scaled[1:] + scaled[:1])
         )
-        return quotient(total, w * w)
+        return Fraction(total, w * w)
 
     def __eq__(self, other):
         if not isinstance(other, ConvexPolygon):
@@ -430,31 +419,26 @@ def line_crossing(line: Line, p: Point, q: Point) -> Point:
     px, py, pw = homogeneous(p)
     qx, qy, qw = homogeneous(q)
     w = hp * qw - hq * pw
-    return Point(quotient(hp * qx - hq * px, w), quotient(hp * qy - hq * py, w))
+    return Point(Fraction(hp * qx - hq * px, w), Fraction(hp * qy - hq * py, w))
 
 
 def point_in_polygon(p: Point, poly: ConvexPolygon) -> Location:
     x, y, w = homogeneous(p)
     on_edge = False
     for a, b, c in poly.edge_forms():
-        s = sign(a * x + b * y - c * w)
-        if s < 0:
+        v = a * x + b * y - c * w
+        if v < 0:
             return Location.OUTSIDE
-        if s == 0:
+        if v == 0:
             on_edge = True
     return Location.BOUNDARY if on_edge else Location.INSIDE
 
 
 def _on_segment_collinear(p: Point, s: Segment) -> bool:
     # p collinear with s assumed; checks the box extent exactly.
-    lo_x, hi_x = (s.p.x, s.q.x) if compare(s.p.x, s.q.x) != 1 else (s.q.x, s.p.x)
-    lo_y, hi_y = (s.p.y, s.q.y) if compare(s.p.y, s.q.y) != 1 else (s.q.y, s.p.y)
-    return (
-        compare(lo_x, p.x) != 1
-        and compare(p.x, hi_x) != 1
-        and compare(lo_y, p.y) != 1
-        and compare(p.y, hi_y) != 1
-    )
+    lo_x, hi_x = sorted((s.p.x, s.q.x))
+    lo_y, hi_y = sorted((s.p.y, s.q.y))
+    return lo_x <= p.x <= hi_x and lo_y <= p.y <= hi_y
 
 
 def point_on_segment(p: Point, s: Segment) -> bool:
@@ -481,20 +465,18 @@ def segment_intersection(s1: Segment, s2: Segment):
     d4 = orientation(s1.p, s1.q, s2.q)
     if d1 == 0 and d2 == 0:
         # Collinear: project on the longer axis of s1 and intersect ranges.
-        dx = s1.q.x - s1.p.x
-        use_x = sign(dx) != 0
+        use_x = s1.q.x != s1.p.x
 
         def key(pt: Point):
             return pt.x if use_x else pt.y
 
-        a, b = (s1.p, s1.q) if compare(key(s1.p), key(s1.q)) != 1 else (s1.q, s1.p)
-        c, d = (s2.p, s2.q) if compare(key(s2.p), key(s2.q)) != 1 else (s2.q, s2.p)
-        lo = a if compare(key(a), key(c)) != -1 else c
-        hi = b if compare(key(b), key(d)) != 1 else d
-        cmp_ends = compare(key(lo), key(hi))
-        if cmp_ends == 1:
+        a, b = (s1.p, s1.q) if key(s1.p) <= key(s1.q) else (s1.q, s1.p)
+        c, d = (s2.p, s2.q) if key(s2.p) <= key(s2.q) else (s2.q, s2.p)
+        lo = a if key(a) >= key(c) else c
+        hi = b if key(b) <= key(d) else d
+        if key(lo) > key(hi):
             return None
-        if cmp_ends == 0:
+        if key(lo) == key(hi):
             return Point(lo.x, lo.y)
         return Segment(Point(lo.x, lo.y), Point(hi.x, hi.y))
     if d1 * d2 < 0 and d3 * d4 < 0:

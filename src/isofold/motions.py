@@ -2,23 +2,25 @@
 
 Motions stay rational end to end: the two-point constructor solves for
 the rotation or reflection entries with squared distances only, so no
-square root ever enters, and every constructor rejects an irrational
-entry with ValueError.
+square root ever enters, and every constructor passes its entries
+through ``exactreal.to_fraction``, which refuses an irrational one with
+ValueError.
 
 Each motion keeps its entries as Fractions and builds, once, its
 integer form (r00, r01, r10, r11, tx, ty, d): the entries times their
 common denominator d > 0 (``exactreal.common_denominator``).  Images,
 compositions, reflections and two-point solves are integer expressions
 over these forms, the lines' forms and ``geometry.homogeneous``, each
-result entry turned into a number by one ``quotient``; the form is
-canonical, so it keys the motion exactly.
+result entry made one ``Fraction(n, d)``, and every test is a
+comparison of ints; the form is canonical, so it keys the motion
+exactly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .exactreal import common_denominator, number, quotient, sign
+from .exactreal import common_denominator, to_fraction
 from .geometry import Line, Point, homogeneous, orientation
 
 __all__ = [
@@ -48,8 +50,7 @@ class CoincidentSources(ValueError):
 class Motion:
     """An isometry of the plane.
 
-    Entries are Fractions, the normal form of ``exactreal.number``; an
-    irrational entry is a ValueError.  The checked constructor verifies
+    Entries are Fractions; an irrational entry is a ValueError.  The checked constructor verifies
     orthogonality; parse paths that must surface broken files to the
     structural audit use ``Motion.unchecked``.
     """
@@ -66,12 +67,10 @@ class Motion:
     def unchecked(cls, rows, translation) -> "Motion":
         (a, b), (c, d) = rows
         tx, ty = translation
-        entries = number(a), number(b), number(c), number(d), number(tx), number(ty)
-        for v in entries:
-            if type(v) is not Fraction:
-                raise ValueError("motion entries must be rational")
         m = object.__new__(cls)
-        m.r00, m.r01, m.r10, m.r11, m.tx, m.ty = entries
+        m.r00, m.r01, m.r10, m.r11, m.tx, m.ty = (
+            to_fraction(v, "motion entries") for v in (a, b, c, d, tx, ty)
+        )
         m._det = None
         m._form = None
         return m
@@ -101,9 +100,9 @@ class Motion:
     def is_orthogonal(self) -> bool:
         r00, r01, r10, r11, _, _, d = self.form()
         return (
-            sign(r00 * r00 + r10 * r10 - d * d) == 0
-            and sign(r01 * r01 + r11 * r11 - d * d) == 0
-            and sign(r00 * r01 + r10 * r11) == 0
+            r00 * r00 + r10 * r10 == d * d
+            and r01 * r01 + r11 * r11 == d * d
+            and r00 * r01 + r10 * r11 == 0
         )
 
     @property
@@ -113,7 +112,8 @@ class Motion:
     def determinant_sign(self) -> int:
         if self._det is None:
             r00, r01, r10, r11 = self.form()[:4]
-            self._det = sign(r00 * r11 - r01 * r10)
+            v = r00 * r11 - r01 * r10
+            self._det = (v > 0) - (v < 0)
         return self._det
 
     def apply(self, p: Point) -> Point:
@@ -122,22 +122,16 @@ class Motion:
         x, y, w = homogeneous(p)
         dw = d * w
         return Point(
-            quotient(r00 * x + r01 * y + tx * w, dw),
-            quotient(r10 * x + r11 * y + ty * w, dw),
+            Fraction(r00 * x + r01 * y + tx * w, dw),
+            Fraction(r10 * x + r11 * y + ty * w, dw),
         )
 
     __call__ = apply
 
     def kind(self) -> str:
         r00, r01, r10, r11, tx, ty, d = self.form()
-        ident = (
-            sign(r00 - d) == 0
-            and sign(r01) == 0
-            and sign(r10) == 0
-            and sign(r11 - d) == 0
-        )
-        if ident:
-            if sign(tx) == 0 and sign(ty) == 0:
+        if r00 == r11 == d and r01 == r10 == 0:
+            if tx == ty == 0:
                 return "identity"
             return "translation"
         if self.determinant_sign() == 1:
@@ -145,9 +139,9 @@ class Motion:
         # Mirror direction spans the +1 eigenspace of R; of the two
         # candidate eigenvectors (times d) at least one is nonzero.
         dx, dy = r01, d - r00
-        if sign(dx) == 0 and sign(dy) == 0:
+        if dx == dy == 0:
             dx, dy = d + r00, r10
-        if sign(tx * dx + ty * dy) == 0:
+        if tx * dx + ty * dy == 0:
             return "reflection"
         return "glide_reflection"
 
@@ -157,7 +151,7 @@ class Motion:
             return NotImplemented
         *mine, d = self.form()
         *theirs, e = other.form()
-        return all(sign(x * e - y * d) == 0 for x, y in zip(mine, theirs))
+        return all(x * e == y * d for x, y in zip(mine, theirs))
 
     __hash__ = None
 
@@ -179,12 +173,12 @@ def compose(outer: Motion, inner: Motion) -> Motion:
     d = da * db
     return Motion.unchecked(
         (
-            (quotient(a00 * b00 + a01 * b10, d), quotient(a00 * b01 + a01 * b11, d)),
-            (quotient(a10 * b00 + a11 * b10, d), quotient(a10 * b01 + a11 * b11, d)),
+            (Fraction(a00 * b00 + a01 * b10, d), Fraction(a00 * b01 + a01 * b11, d)),
+            (Fraction(a10 * b00 + a11 * b10, d), Fraction(a10 * b01 + a11 * b11, d)),
         ),
         (
-            quotient(a00 * bx + a01 * by + ax * db, d),
-            quotient(a10 * bx + a11 * by + ay * db, d),
+            Fraction(a00 * bx + a01 * by + ax * db, d),
+            Fraction(a10 * bx + a11 * by + ay * db, d),
         ),
     )
 
@@ -197,10 +191,10 @@ def reflection_across_line(line: Line) -> Motion:
     """
     a, b, c = line.form()
     d2 = a * a + b * b
-    s = quotient(-2 * a * b, d2)
+    s = Fraction(-2 * a * b, d2)
     return Motion.unchecked(
-        ((quotient(b * b - a * a, d2), s), (s, quotient(a * a - b * b, d2))),
-        (quotient(2 * a * c, d2), quotient(2 * b * c, d2)),
+        ((Fraction(b * b - a * a, d2), s), (s, Fraction(a * a - b * b, d2))),
+        (Fraction(2 * a * c, d2), Fraction(2 * b * c, d2)),
     )
 
 
@@ -219,13 +213,13 @@ def from_two_pairs(p1: Point, q1: Point, p2: Point, q2: Point, det: int) -> Moti
     px1, py1, pw1 = homogeneous(p1)
     px2, py2, pw2 = homogeneous(p2)
     ux, uy, uw = px2 * pw1 - px1 * pw2, py2 * pw1 - py1 * pw2, pw1 * pw2
-    if sign(ux) == 0 and sign(uy) == 0:
+    if ux == uy == 0:
         raise CoincidentSources("need two distinct source points")
     qx1, qy1, qw1 = homogeneous(q1)
     qx2, qy2, qw2 = homogeneous(q2)
     vx, vy, vw = qx2 * qw1 - qx1 * qw2, qy2 * qw1 - qy1 * qw2, qw1 * qw2
     n = ux * ux + uy * uy
-    if sign(n * vw * vw - (vx * vx + vy * vy) * uw * uw) != 0:
+    if n * vw * vw != (vx * vx + vy * vy) * uw * uw:
         raise DistanceMismatch("pairs are not congruent")
     if det == 1:
         c = (ux * vx + uy * vy) * uw
@@ -238,10 +232,10 @@ def from_two_pairs(p1: Point, q1: Point, p2: Point, q2: Point, det: int) -> Moti
     k = vw * n
     kw = k * pw1
     return Motion.unchecked(
-        ((quotient(n00, k), quotient(n01, k)), (quotient(n10, k), quotient(n11, k))),
+        ((Fraction(n00, k), Fraction(n01, k)), (Fraction(n10, k), Fraction(n11, k))),
         (
-            quotient(qx1 * kw - qw1 * (n00 * px1 + n01 * py1), qw1 * kw),
-            quotient(qy1 * kw - qw1 * (n10 * px1 + n11 * py1), qw1 * kw),
+            Fraction(qx1 * kw - qw1 * (n00 * px1 + n01 * py1), qw1 * kw),
+            Fraction(qy1 * kw - qw1 * (n10 * px1 + n11 * py1), qw1 * kw),
         ),
     )
 

@@ -162,13 +162,6 @@ class TestConvexPolygon:
         square = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
         assert square.area2() == 8
 
-    def test_edges(self):
-        square = ConvexPolygon([P(0, 0), P(2, 0), P(2, 2), P(0, 2)])
-        es = square.edges()
-        assert len(es) == 4
-        assert es[0] == Segment(P(0, 0), P(2, 0))
-        assert es[3] == Segment(P(0, 2), P(0, 0))
-
 
 class TestConvexHull:
     def test_square_with_noise(self):

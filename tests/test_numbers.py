@@ -128,3 +128,29 @@ def test_integer_forms_live_in_one_place():
             and id(node) not in allowed
         ]
     assert reads == []
+
+
+# The construction and the audits run on plain ints and Fractions: what
+# they may take from exactreal is the constructors' gate, the integer
+# form of a tuple of Fractions, and the audit's number format.
+NATIVE_MODULES = ("geometry.py", "motions.py", "extension.py", "plmap.py", "verification.py")
+EXACTREAL_MODULES = ("exactreal", "isofold.exactreal")
+EXACTREAL_ALLOWED = {"to_fraction", "common_denominator", "scientific_string"}
+EXACTREAL_FORBIDDEN = {"sign", "compare", "equals", "quotient"}
+
+
+def test_construction_uses_native_numbers():
+    stray = []
+    for name in NATIVE_MODULES:
+        for node in ast.walk(ast.parse((SRC / "isofold" / name).read_text())):
+            if isinstance(node, ast.ImportFrom) and node.module in EXACTREAL_MODULES:
+                stray += [
+                    f"{name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name not in EXACTREAL_ALLOWED
+                ]
+            elif isinstance(node, ast.Name) and node.id in EXACTREAL_FORBIDDEN:
+                stray.append(f"{name}:{node.lineno} uses {node.id}")
+            elif isinstance(node, ast.Attribute) and node.attr in EXACTREAL_FORBIDDEN:
+                stray.append(f"{name}:{node.lineno} uses {node.attr}")
+    assert stray == []
